@@ -30,7 +30,6 @@ from .errors import (
     MixedGraphError,
     NoConvergenceError,
     NonDivisibleError,
-    NumericInstabilityError,
     ParityError,
     UnsupportedParameterError,
 )

@@ -2,9 +2,9 @@
 
 Three bounds are provided: the bipartite Moore bound, a tighter bound that
 subtracts forced vertex repetitions counted along chains in the Moore tree,
-and the chordal-ring-specific cap.  The unit-degree Moore values and the
-chain counts are computed by exact integer recurrences; floating point only
-enters for general degree pairs, with an explicit rounding check.
+and the chordal-ring-specific cap.  The Moore values and the chain counts are
+computed by exact integer recurrences, so every accepted argument gets an
+exact answer; the float closed form survives only as ``moore_params``.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericInstabilityError, UnsupportedParameterError
-
-_ROUNDING_TOLERANCE = 1e-6
+from .errors import UnsupportedParameterError
 
 
 @dataclass(frozen=True)
@@ -59,35 +57,22 @@ def moore_params(r: int, z: int) -> MooreParams:
 def moore_bipartite(r: int, z: int, k: int) -> int:
     """Largest order compatible with the bipartite distance-layer count.
 
-    For r = z = 1 the value comes from the exact recurrence
-    M(k) = M(k-1) + M(k-2) + 2 with M(1) = 2 and M(2) = 4.  Other degree
-    pairs are evaluated in floating point and rounded, with a relative
-    rounding check of 1e-6.
+    With d = r + z the layer counts of the Moore tree give the exact integer
+    recurrence M(k) = d*M(k-1) - (d-1-z)*M(k-2) - z*M(k-3), whose
+    characteristic polynomial is (x^2 - (d-1)x - z)(x - 1), from M(0) = 0,
+    M(1) = 2 and M(2) = 2d.  For r = z = 1 it reduces to
+    M(k) = M(k-1) + M(k-2) + 2.
     """
+    _require(r >= 1, f"undirected degree must be >= 1, got {r}")
+    _require(z >= 1, f"directed degree must be >= 1, got {z}")
     _require(k >= 1, f"diameter must be >= 1, got {k}")
-    if r == 1 and z == 1:
-        prev, cur = 2, 4
-        if k == 1:
-            return prev
-        for _ in range(k - 2):
-            prev, cur = cur, cur + prev + 2
-        return cur
-    p = moore_params(r, z)
-    for u in (p.u1, p.u2):
-        if abs(u * u - 1) < 1e-12:
-            raise NumericInstabilityError(
-                f"degenerate closed form: u^2 - 1 vanishes for (r, z) = ({r}, {z})"
-            )
-    raw = 2 * (
-        p.a * (p.u1 ** (k + 1) - p.u1) / (p.u1**2 - 1)
-        + p.b * (p.u2 ** (k + 1) - p.u2) / (p.u2**2 - 1)
-    )
-    value = round(raw)
-    if abs(raw - value) > _ROUNDING_TOLERANCE * max(1.0, abs(raw)):
-        raise NumericInstabilityError(
-            f"closed-form value {raw!r} is not close to an integer"
-        )
-    return value
+    d = r + z
+    older, old, cur = 0, 2, 2 * d  # M(0), M(1), M(2)
+    if k == 1:
+        return old
+    for _ in range(k - 2):
+        older, old, cur = old, cur, d * cur - (d - 1 - z) * old - z * older
+    return cur
 
 
 def eta(t: int) -> int:

@@ -22,7 +22,7 @@ from .core import (
     validate_and_profile,
     verify_automorphism,
 )
-from .errors import MixedGraphError, UnsupportedParameterError
+from .errors import MalformedGraphError, MixedGraphError, UnsupportedParameterError
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -158,8 +158,11 @@ def _construct_graph(args: argparse.Namespace) -> MixedGraph:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(args.path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MixedGraphError(f"cannot read {args.path}: {exc}") from exc
     g = graph_from_json(text) if text.lstrip().startswith("{") else parse_edge_list(text)
     profile = validate_and_profile(g)
     report = metrics.eccentricity_report(g)
@@ -342,16 +345,33 @@ def graph_to_json(g: MixedGraph) -> str:
 
 
 def graph_from_json(text: str) -> MixedGraph:
-    payload = json.loads(text)
-    labels = None
-    if payload.get("labels"):
-        labels = [payload["labels"][str(v)] for v in range(payload["n"])]
-    return MixedGraph.build(
-        payload["n"],
-        edges=[tuple(e) for e in payload["edges"]],
-        arcs=[tuple(a) for a in payload["arcs"]],
-        labels=labels,
-    )
+    """Parse the JSON export; bad JSON or ill-typed keys raise
+    MalformedGraphError."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise MalformedGraphError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise MalformedGraphError("JSON graph must be an object")
+    n = payload.get("n")
+    if type(n) is not int:
+        raise MalformedGraphError(f"JSON key 'n' must be an integer, got {n!r}")
+    pairs = {key: _json_pairs(payload, key) for key in ("edges", "arcs")}
+    labels = payload.get("labels") or None
+    if labels is not None:
+        if not isinstance(labels, dict) or any(str(v) not in labels for v in range(n)):
+            raise MalformedGraphError("JSON key 'labels' must map every vertex id")
+        labels = [labels[str(v)] for v in range(n)]
+    return MixedGraph.build(n, edges=pairs["edges"], arcs=pairs["arcs"], labels=labels)
+
+
+def _json_pairs(payload: dict, key: str) -> list[tuple]:
+    pairs = payload.get(key)
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in pairs
+    ):
+        raise MalformedGraphError(f"JSON key {key!r} must be a list of [u, v] pairs")
+    return [tuple(p) for p in pairs]
 
 
 def graph_to_dot(g: MixedGraph) -> str:

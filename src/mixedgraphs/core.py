@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadPermutationError, MalformedGraphError
 
@@ -267,8 +267,9 @@ def are_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
     """Backtracking isomorphism test between two mixed graphs.
 
     Vertices are first partitioned by an invariant signature (degrees plus
-    sorted BFS distance rows in both directions), which keeps the search
-    space tiny for the graph orders this package handles.
+    the per-round ball sizes in both directions, which count the vertices at
+    each distance), which keeps the search space tiny for the graph orders
+    this package handles.
     """
     if g.n != h.n or g.num_edges() != h.num_edges() or g.num_arcs() != h.num_arcs():
         return False
@@ -311,31 +312,57 @@ def are_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
 
 
 def _iso_signatures(g: MixedGraph) -> list[tuple]:
-    succ, pred = g.successors(), g.predecessors()
-    sigs = []
-    for v in range(g.n):
-        sigs.append(
-            (
-                g.edge_partner[v] is not None,
-                len(g.out_arcs[v]),
-                tuple(sorted(_bfs_levels(succ, v))),
-                tuple(sorted(_bfs_levels(pred, v))),
-            )
-        )
-    return sigs
+    """Per-vertex invariants: edge flag, out-degree, and the sizes of the
+    vertex's out- and in-balls in every round in which they grow."""
+    out_sizes = _ball_sizes(g.successors())
+    in_sizes = _ball_sizes(g.predecessors())
+    return [
+        (g.edge_partner[v] is not None, len(g.out_arcs[v]), out_sizes[v], in_sizes[v])
+        for v in range(g.n)
+    ]
 
 
-def _bfs_levels(adj: list[list[int]], start: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _ball_sizes(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    sizes: list[list[int]] = [[] for _ in adj]
+    for balls, grown in ball_rounds(adj):
+        for v in grown:
+            sizes[v].append(balls[v].bit_count())
+    return [tuple(s) for s in sizes]
+
+
+def ball_rounds(
+    adj: Sequence[Sequence[int]],
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The distance kernel: grow every vertex's ball at once, one distance
+    per round.
+
+    Balls are bitsets held in Python ints: bit u of ``balls[v]`` is set when
+    u lies within distance d of v along ``adj``.  Round 0 holds ``{v}``, and
+    ``ball_{d+1}(v) = ball_d(v) | OR of ball_d(w)`` over the successors w of
+    v.  Yields ``(balls, grown)`` after each round d = 0, 1, ..., where
+    ``grown`` lists the vertices whose ball grew in round d (every vertex in
+    round 0).  A ball that stops growing never grows again, because a vertex
+    at distance d + 2 needs one at distance d + 1, so each vertex grows in
+    rounds 0..e(v) and no later; iteration ends after the last round in which
+    some ball grew.  ``balls`` is updated in place by the next round, so read
+    it before resuming.
+    """
+    full = (1 << len(adj)) - 1
+    balls = [1 << v for v in range(len(adj))]
+    grown = list(range(len(adj)))
+    while grown:
+        yield balls, grown
+        prev = balls[:]
+        active, grown = grown, []
+        for v in active:
+            ball = before = prev[v]
+            if ball == full:
+                continue
+            for w in adj[v]:
+                ball |= prev[w]
+            if ball != before:
+                balls[v] = ball
+                grown.append(v)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +400,9 @@ def parse_edge_list(text: str) -> MixedGraph:
 
 
 def _check_vertex(v: int, n: int) -> None:
-    if not isinstance(v, int) or not 0 <= v < n:
+    # type() rather than isinstance(): bool is an int subclass, and True or
+    # False (from JSON, say) must not pass as vertex 1 or 0.
+    if type(v) is not int or not 0 <= v < n:
         raise MalformedGraphError(f"vertex id {v!r} out of range 0..{n - 1}")
 
 

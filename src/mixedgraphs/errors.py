@@ -31,9 +31,5 @@ class NonDivisibleError(MixedGraphError):
     a transcription bug rather than bad user input."""
 
 
-class NumericInstabilityError(MixedGraphError):
-    """A floating-point evaluation could not be rounded to a trusted integer."""
-
-
 class NoConvergenceError(MixedGraphError):
     """An iterative numeric routine exhausted its iteration budget."""

@@ -1,20 +1,23 @@
 """Distances, eccentricities, diameter, and radii of mixed graphs.
 
 Shortest paths are taken in the associated digraph: edges are traversable in
-both directions, arcs only forward.  Unreachable pairs are marked with
-``UNREACHABLE`` in distance rows; aggregate quantities over unreachable pairs
-become ``INFINITE`` so callers can filter candidates cheaply instead of
-handling errors.
+both directions, arcs only forward.  Everything here reads the rounds of the
+one distance kernel, ``core.ball_rounds``, which grows every vertex's ball as
+a bitset, one distance per round: a vertex's eccentricity is the first round
+in which its ball is full, and a distance is the round in which its bit first
+appears.  In-eccentricities run the kernel on the predecessor lists.
+Unreachable pairs are marked with ``UNREACHABLE`` in distance rows; aggregate
+quantities over unreachable pairs become ``INFINITE`` so callers can filter
+candidates cheaply instead of handling errors.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .core import MixedGraph
+from .core import MixedGraph, ball_rounds
 from .errors import UnsupportedParameterError
 
 UNREACHABLE = -1
@@ -25,9 +28,13 @@ Eccentricity = Union[int, float]
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest path lengths; UNREACHABLE marks absent paths."""
+    """All-pairs shortest path lengths; UNREACHABLE marks absent paths.
+
+    ``eccentricities[v]`` is the largest entry of row v, or INFINITE if the
+    row has an UNREACHABLE entry."""
 
     rows: tuple[tuple[int, ...], ...]
+    eccentricities: tuple[Eccentricity, ...]
 
     @property
     def n(self) -> int:
@@ -38,13 +45,7 @@ class DistanceMatrix:
 
     def diameter(self) -> Eccentricity:
         """Largest finite distance, or INFINITE if some pair is unreachable."""
-        worst = 0
-        for row in self.rows:
-            m = min(row)
-            if m == UNREACHABLE:
-                return INFINITE
-            worst = max(worst, max(row))
-        return worst
+        return max(self.eccentricities, default=0)
 
 
 @dataclass(frozen=True)
@@ -61,53 +62,62 @@ class EccentricityReport:
 
 
 def distances_from(g: MixedGraph, src: int) -> list[int]:
-    """Shortest mixed-path lengths from src to every vertex (BFS)."""
+    """Shortest mixed-path lengths from src to every vertex."""
     if not 0 <= src < g.n:
         raise UnsupportedParameterError(f"source {src} out of range 0..{g.n - 1}")
-    return _bfs(g.successors(), src)
+    return list(distance_matrix(g).rows[src])
 
 
 def distance_matrix(g: MixedGraph) -> DistanceMatrix:
-    """All-pairs distances via one BFS per source, in source order."""
-    adj = g.successors()
-    return DistanceMatrix(rows=tuple(tuple(_bfs(adj, s)) for s in range(g.n)))
+    """All-pairs distances, read off the rounds of the ball kernel."""
+    n = g.n
+    full = (1 << n) - 1
+    rows = [[UNREACHABLE] * n for _ in range(n)]
+    seen = [0] * n
+    ecc: list[Eccentricity] = [INFINITE] * n
+    for d, (balls, grown) in enumerate(ball_rounds(g.successors())):
+        for v in grown:
+            ball = balls[v]
+            row, bits = rows[v], format(ball & ~seen[v], "b")[::-1]
+            u = bits.find("1")
+            while u >= 0:
+                row[u] = d
+                u = bits.find("1", u + 1)
+            seen[v] = ball
+            if ball == full:
+                ecc[v] = d
+    return DistanceMatrix(
+        rows=tuple(tuple(row) for row in rows), eccentricities=tuple(ecc)
+    )
 
 
 def diameter(g: MixedGraph) -> Eccentricity:
-    """Diameter of g; INFINITE when some ordered pair is unreachable."""
-    adj = g.successors()
-    worst = 0
-    for s in range(g.n):
-        row = _bfs(adj, s)
-        if min(row) == UNREACHABLE:
+    """Diameter of g; INFINITE when some ordered pair is unreachable.
+
+    This is the last round of the ball kernel, stopping at the first ball
+    that stops growing before it is full."""
+    full = (1 << g.n) - 1
+    pending = g.n  # balls not yet full; each must grow in every round
+    d = 0
+    for d, (balls, grown) in enumerate(ball_rounds(g.successors())):
+        if len(grown) < pending:
             return INFINITE
-        worst = max(worst, max(row))
-    return worst
+        pending = g.n - balls.count(full)
+    return INFINITE if pending else d
 
 
 def eccentricity_report(g: MixedGraph) -> EccentricityReport:
     """Exact out/in eccentricities, diameter, radii, and central vertices."""
     if g.n == 0:
         return EccentricityReport((), (), 0, 0, 0, (), ())
-    adj = g.successors()
-    ecc_out: list[Eccentricity] = []
-    ecc_in: list[Eccentricity] = [0] * g.n
-    in_dist = [[UNREACHABLE] * g.n for _ in range(g.n)]
-    for s in range(g.n):
-        row = _bfs(adj, s)
-        ecc_out.append(INFINITE if min(row) == UNREACHABLE else max(row))
-        for v, d in enumerate(row):
-            in_dist[v][s] = d
-    for v in range(g.n):
-        row = in_dist[v]
-        ecc_in[v] = INFINITE if min(row) == UNREACHABLE else max(row)
-    diameter_ = max(ecc_out)
+    ecc_out = _eccentricities(g.successors())
+    ecc_in = _eccentricities(g.predecessors())
     out_radius = min(ecc_out)
     in_radius = min(ecc_in)
     return EccentricityReport(
         ecc_out=tuple(ecc_out),
         ecc_in=tuple(ecc_in),
-        diameter=diameter_,
+        diameter=max(ecc_out),
         out_radius=out_radius,
         in_radius=in_radius,
         out_central=tuple(v for v in range(g.n) if ecc_out[v] == out_radius),
@@ -115,15 +125,13 @@ def eccentricity_report(g: MixedGraph) -> EccentricityReport:
     )
 
 
-def _bfs(adj: list[list[int]], start: int) -> list[int]:
-    dist = [UNREACHABLE] * len(adj)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+def _eccentricities(adj: list[list[int]]) -> list[Eccentricity]:
+    """Each vertex's eccentricity along adj: the first round in which its
+    ball is full, or INFINITE if it never fills."""
+    full = (1 << len(adj)) - 1
+    ecc: list[Eccentricity] = [INFINITE] * len(adj)
+    for d, (balls, grown) in enumerate(ball_rounds(adj)):
+        for v in grown:
+            if balls[v] == full:
+                ecc[v] = d
+    return ecc

@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     MixedGraph,
+    _iso_signatures,
     are_isomorphic,
-    bipartition,
     format_edge_list,
     validate_and_profile,
 )
@@ -174,7 +174,7 @@ def lift_search(
     remaining = budget
     exhaustive = True
     best_order: Optional[int] = None
-    best_texts: list[str] = []
+    best: dict[str, MixedGraph] = {}  # canonical text -> witness
     for q in orders:
         if q < 1:
             raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
@@ -201,15 +201,13 @@ def lift_search(
             order = template.n * q
             if diameter(g) <= k and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
-                    best_order, best_texts = order, []
+                    best_order, best = order, {}
                 text = format_edge_list(g)
-                if text not in best_texts:
-                    best_texts.append(text)
-                    best_texts.sort()
-                    del best_texts[_WITNESS_CAP:]
-    witnesses = _isomorphism_classes(
-        [_parse_witness(text) for text in best_texts]
-    )
+                if text not in best:
+                    best[text] = g
+                    for extra in sorted(best)[_WITNESS_CAP:]:
+                        del best[extra]
+    witnesses = _isomorphism_classes(list(best.values()))
     return SearchReport(
         kind="lift",
         k=k,
@@ -347,11 +345,18 @@ def _partial_matchings(
 
 
 def _isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
-    """Representatives up to isomorphism, sorted by canonical edge-list text."""
+    """Representatives up to isomorphism, sorted by canonical edge-list text.
+
+    Graphs are bucketed by an isomorphism invariant computed once per graph,
+    so ``are_isomorphic`` only runs between graphs sharing a bucket."""
     ordered = sorted(graphs, key=format_edge_list)
     reps: list[MixedGraph] = []
+    buckets: dict[tuple, list[MixedGraph]] = {}
     for g in ordered:
-        if not any(are_isomorphic(g, rep) for rep in reps):
+        key = (g.n, g.num_edges(), g.num_arcs(), tuple(sorted(_iso_signatures(g))))
+        bucket = buckets.setdefault(key, [])
+        if not any(are_isomorphic(g, rep) for rep in bucket):
+            bucket.append(g)
             reps.append(g)
     return reps
 
@@ -369,18 +374,10 @@ def _build_lift(
     base = VoltageBaseGraph(n=template.n, group_order=q, darts=tuple(darts))
     try:
         g = lift(base)
-        validate_and_profile(g)
+        profile = validate_and_profile(g)
     except (MalformedBaseError, MalformedGraphError):
         return None
-    if bipartition(g) is None:
-        return None
-    return g
-
-
-def _parse_witness(text: str) -> MixedGraph:
-    from .core import parse_edge_list
-
-    return parse_edge_list(text)
+    return g if profile.bipartite_ok else None
 
 
 def _splitmix64(x: int) -> int:

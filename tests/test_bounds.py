@@ -32,12 +32,14 @@ CRM_UPPER = {
 }
 
 
-def closed_form_unit_moore(k: int) -> int:
+def closed_form_moore(r: int, z: int, k: int) -> int:
     """High-precision evaluation of the closed form, as an oracle."""
     with mpmath.workdps(60):
-        sqrt5 = mpmath.sqrt(5)
-        u1, u2 = (1 - sqrt5) / 2, (1 + sqrt5) / 2
-        a, b = (sqrt5 - 3) / (2 * sqrt5), (sqrt5 + 3) / (2 * sqrt5)
+        d = r + z
+        sqrt_v = mpmath.sqrt((d - 1) ** 2 + 4 * z)
+        u1, u2 = (d - 1 - sqrt_v) / 2, (d - 1 + sqrt_v) / 2
+        a = (sqrt_v - (d + 1)) / (2 * sqrt_v)
+        b = (sqrt_v + (d + 1)) / (2 * sqrt_v)
         value = 2 * (
             a * (u1 ** (k + 1) - u1) / (u1**2 - 1)
             + b * (u2 ** (k + 1) - u2) / (u2**2 - 1)
@@ -64,12 +66,27 @@ def test_moore_unit_degree_values():
 
 
 def test_moore_recurrence_matches_closed_form():
-    for k in range(1, 17):
-        assert moore_bipartite(1, 1, k) == closed_form_unit_moore(k)
+    for r in range(1, 5):
+        for z in range(1, 5):
+            for k in range(1, 17):
+                assert moore_bipartite(r, z, k) == closed_form_moore(r, z, k)
+
+
+@pytest.mark.parametrize("r,z,k", [(3, 3, 20), (2, 3, 24), (1, 2, 34)])
+def test_moore_exact_where_floats_round_wrong(r, z, k):
+    exact = closed_form_moore(r, z, k)
+    assert moore_bipartite(r, z, k) == exact
+    # the double-precision closed form is off here, since exact > 2**53
+    p = moore_params(r, z)
+    raw = 2 * (
+        p.a * (p.u1 ** (k + 1) - p.u1) / (p.u1**2 - 1)
+        + p.b * (p.u2 ** (k + 1) - p.u2) / (p.u2**2 - 1)
+    )
+    assert round(raw) != exact
 
 
 def test_moore_general_degrees_agree_with_unit_recurrence():
-    # the floating-point branch must reproduce the integer branch's answer
+    # the float closed form of moore_params reproduces the recurrence at (1, 1)
     for k in range(1, 17):
         p = moore_params(1, 1)
         raw = 2 * (

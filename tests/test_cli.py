@@ -154,3 +154,46 @@ def test_analyze_matches_construction_claims(tmp_path, capsys):
     assert g.n == 32
     assert diameter(g) == 7
     assert format_edge_list(g) == path.read_text()
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_analyze_missing_file_is_an_error(tmp_path, capsys):
+    assert_one_line_error(*run_cli(capsys, "analyze", str(tmp_path / "absent.edges")))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "{}",
+        '{"n": 2, "edges": []}',
+        '{"n": "2", "edges": [], "arcs": []}',
+        '{"n": 2, "edges": [[0]], "arcs": []}',
+        '{"n": 2, "edges": 5, "arcs": []}',
+        '{"n": 2, "edges": [], "arcs": [], "labels": {"0": "a"}}',
+        "{not json",
+    ],
+)
+def test_analyze_bad_json_keys_are_errors(tmp_path, capsys, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(payload)
+    assert_one_line_error(*run_cli(capsys, "analyze", str(path)))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"n": 2, "edges": [[false, true]], "arcs": []}',
+        '{"n": 2, "edges": [], "arcs": [[0, true]]}',
+        '{"n": true, "edges": [], "arcs": []}',
+    ],
+)
+def test_analyze_rejects_json_booleans_as_ids(tmp_path, capsys, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(payload)
+    assert_one_line_error(*run_cli(capsys, "analyze", str(path)))

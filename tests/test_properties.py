@@ -1,18 +1,28 @@
 from __future__ import annotations
 
+from collections import deque
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
+    INFINITE,
+    EccentricityReport,
     MixedGraph,
     bipartition,
+    cdrm,
     contract_edges,
     converse,
+    crm,
+    diameter,
     distance_matrix,
+    distances_from,
     eccentricity_report,
     moore_params,
     validate_and_profile,
     verify_automorphism,
 )
+from mixedgraphs.core import _iso_signatures
 from mixedgraphs.metrics import UNREACHABLE
 
 
@@ -120,3 +130,94 @@ def test_moore_params_invariants(r, z):
     assert abs(p.u1 + p.u2 - (p.d - 1)) < 1e-9
     assert abs(p.u1 * p.u2 + z) < 1e-9
     assert abs(p.a + p.b - 1) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The ball kernel against the queue BFS it replaced
+# ---------------------------------------------------------------------------
+
+def queue_bfs(adj: list[list[int]], start: int) -> list[int]:
+    """Reference: one queue BFS from start, UNREACHABLE for absent paths."""
+    dist = [UNREACHABLE] * len(adj)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] == UNREACHABLE:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def reference_ecc(row: list[int]):
+    return INFINITE if UNREACHABLE in row else max(row)
+
+
+def reference_ball_sizes(row: list[int]) -> tuple[int, ...]:
+    """Sorted-BFS-row information as ball sizes: vertices within distance d,
+    for d up to the farthest reachable vertex."""
+    return tuple(sum(0 <= x <= d for x in row) for d in range(max(row) + 1))
+
+
+def assert_kernel_matches_reference(g: MixedGraph) -> None:
+    succ, pred = g.successors(), g.predecessors()
+    rows = [queue_bfs(succ, s) for s in range(g.n)]
+    columns = [[rows[s][v] for s in range(g.n)] for v in range(g.n)]
+    ecc_out = [reference_ecc(row) for row in rows]
+    ecc_in = [reference_ecc(col) for col in columns]
+
+    assert [distances_from(g, s) for s in range(g.n)] == rows
+    dm = distance_matrix(g)
+    assert dm.rows == tuple(tuple(row) for row in rows)
+    assert dm.diameter() == diameter(g) == max(ecc_out)
+
+    report = eccentricity_report(g)
+    out_radius, in_radius = min(ecc_out), min(ecc_in)
+    assert report == EccentricityReport(
+        ecc_out=tuple(ecc_out),
+        ecc_in=tuple(ecc_in),
+        diameter=max(ecc_out),
+        out_radius=out_radius,
+        in_radius=in_radius,
+        out_central=tuple(v for v in range(g.n) if ecc_out[v] == out_radius),
+        in_central=tuple(v for v in range(g.n) if ecc_in[v] == in_radius),
+    )
+
+    assert _iso_signatures(g) == [
+        (
+            g.edge_partner[v] is not None,
+            len(g.out_arcs[v]),
+            reference_ball_sizes(sorted(queue_bfs(succ, v))),
+            reference_ball_sizes(sorted(queue_bfs(pred, v))),
+        )
+        for v in range(g.n)
+    ]
+
+
+@given(mixed_graphs())
+def test_kernel_matches_queue_bfs(g):
+    assert_kernel_matches_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        MixedGraph.build(1),
+        MixedGraph.build(2, edges=[(0, 1)]),
+        crm(70, 5),
+        cdrm(40, 3, "reflect"),
+        MixedGraph.build(70, arcs=[(i, i + 1) for i in range(69)]),
+    ],
+    ids=["n1", "edge", "crm70", "cdrm40-reflect", "path70"],
+)
+def test_kernel_matches_queue_bfs_fixed(g):
+    assert_kernel_matches_reference(g)
+
+
+def test_kernel_on_empty_graph():
+    g = MixedGraph.build(0)
+    assert distance_matrix(g).rows == ()
+    assert distance_matrix(g).diameter() == diameter(g) == 0
+    assert eccentricity_report(g) == EccentricityReport((), (), 0, 0, 0, (), ())
+    assert _iso_signatures(g) == []

@@ -1,18 +1,26 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mixedgraphs import (
+    are_isomorphic,
+    bdm,
     bipartition,
+    cdrm,
     cdrm_scan,
+    crm,
     diameter,
     exhaustive_max_order,
     four_vertex_template,
     lift_search,
     two_vertex_template,
+    format_edge_list,
     validate_and_profile,
 )
 from mixedgraphs.errors import UnsupportedParameterError
+from mixedgraphs.search import _isomorphism_classes, _totally_regular_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +88,26 @@ def test_report_serialization_layout():
     assert "best_order=8" in lines[0]
     assert lines[1] == "witnesses 2"
     assert lines[2] == "mixedgraph 8"
+
+
+def test_bucketed_classes_match_all_pairs_loop():
+    rng = random.Random(5)
+    bases = [bdm(5), crm(20, 3), crm(20, 5), cdrm(10, 3, "shift"), cdrm(10, 3, "reflect")]
+    bases += list(_totally_regular_candidates(10))[:40]
+    graphs = []
+    for g in bases:
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(g.relabelled(perm))
+    rng.shuffle(graphs)
+
+    reps = []  # the all-pairs loop the buckets replaced
+    for g in sorted(graphs, key=format_edge_list):
+        if not any(are_isomorphic(g, rep) for rep in reps):
+            reps.append(g)
+    assert 1 < len(reps) < len(graphs)
+    assert _isomorphism_classes(graphs) == reps
 
 
 # ---------------------------------------------------------------------------
