@@ -3,13 +3,11 @@ extremal search."""
 
 from .bounds import (
     BoundsReport,
-    MooreParams,
     bounds_report,
     crm_upper,
     eta,
     improved_bound,
     moore_bipartite,
-    moore_params,
 )
 from .core import (
     DegreeProfile,
@@ -19,6 +17,7 @@ from .core import (
     contract_edges,
     converse,
     format_edge_list,
+    isomorphism_classes,
     parse_edge_list,
     validate_and_profile,
     verify_automorphism,

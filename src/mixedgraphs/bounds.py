@@ -4,27 +4,14 @@ Three bounds are provided: the bipartite Moore bound, a tighter bound that
 subtracts forced vertex repetitions counted along chains in the Moore tree,
 and the chordal-ring-specific cap.  The Moore values and the chain counts are
 computed by exact integer recurrences, so every accepted argument gets an
-exact answer; the float closed form survives only as ``moore_params``.
+exact answer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import UnsupportedParameterError
-
-
-@dataclass(frozen=True)
-class MooreParams:
-    """Derived quantities of the closed-form bipartite Moore bound."""
-
-    d: int
-    v: int
-    u1: float
-    u2: float
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -35,23 +22,6 @@ class BoundsReport:
     moore: int
     improved: int
     crm_upper: int
-
-
-def moore_params(r: int, z: int) -> MooreParams:
-    """Closed-form parameters for maximum degrees (r, z)."""
-    _require(r >= 1, f"undirected degree must be >= 1, got {r}")
-    _require(z >= 1, f"directed degree must be >= 1, got {z}")
-    d = r + z
-    v = (d - 1) ** 2 + 4 * z
-    sqrt_v = math.sqrt(v)
-    return MooreParams(
-        d=d,
-        v=v,
-        u1=(d - 1 - sqrt_v) / 2,
-        u2=(d - 1 + sqrt_v) / 2,
-        a=(sqrt_v - (d + 1)) / (2 * sqrt_v),
-        b=(sqrt_v + (d + 1)) / (2 * sqrt_v),
-    )
 
 
 def moore_bipartite(r: int, z: int, k: int) -> int:

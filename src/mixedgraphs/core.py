@@ -264,51 +264,90 @@ def verify_automorphism(g: MixedGraph, perm: Sequence[int]) -> bool:
 
 
 def are_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
-    """Backtracking isomorphism test between two mixed graphs.
+    """True iff some bijection of vertices maps g's edges onto h's edges and
+    g's arcs onto h's arcs, direction kept.
 
-    Vertices are first partitioned by an invariant signature (degrees plus
-    the per-round ball sizes in both directions, which count the vertices at
-    each distance), which keeps the search space tiny for the graph orders
-    this package handles.
+    Decided by :func:`isomorphism_classes`, whose backtracking takes time
+    exponential in the order in the worst case.
     """
-    if g.n != h.n or g.num_edges() != h.num_edges() or g.num_arcs() != h.num_arcs():
-        return False
-    sig_g, sig_h = _iso_signatures(g), _iso_signatures(h)
-    if sorted(sig_g) != sorted(sig_h):
-        return False
+    return len(isomorphism_classes([g, h])) == 1
+
+
+def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
+    """Representatives up to isomorphism, sorted by canonical edge-list text.
+
+    Each graph's per-vertex invariant signatures are computed once, and
+    graphs are bucketed by (order, #edges, #arcs, sorted signatures); a
+    backtracking matcher then runs only between graphs sharing a bucket.
+    The matcher maps vertices only onto vertices of equal signature.  That
+    prunes little when many vertices share one signature, as in the
+    symmetric families, and the worst case is then exponential in the
+    order: ``bdm(10)`` (40 vertices) against random relabellings of itself
+    took from 9 s to over a minute on a 2-CPU Xeon host with Python 3.11.
+    """
+    reps: list[MixedGraph] = []
+    buckets: dict[tuple, list[tuple[MixedGraph, list[tuple]]]] = {}
+    for g in sorted(graphs, key=format_edge_list):
+        sig = _iso_signatures(g)
+        key = (g.n, g.num_edges(), g.num_arcs(), tuple(sorted(sig)))
+        bucket = buckets.setdefault(key, [])
+        if not any(_match(g, sig, rep, rep_sig) for rep, rep_sig in bucket):
+            bucket.append((g, sig))
+            reps.append(g)
+    return reps
+
+
+def _match(
+    g: MixedGraph, sig_g: Sequence[tuple], h: MixedGraph, sig_h: Sequence[tuple]
+) -> bool:
+    """Backtracking search for an isomorphism from g onto h, for graphs whose
+    sorted signatures are equal.
+
+    g's vertices are placed in order of signature, each onto an unused
+    vertex of h with the same signature whose edge and arcs to the vertices
+    placed so far correspond.  The search keeps an explicit stack of
+    candidate positions, one per placed vertex, so its depth is not bounded
+    by Python's recursion limit.
+    """
+    g_out, h_out = g.out_arcs, h.out_arcs
     order = sorted(range(g.n), key=lambda v: (sig_g[v], v))
-    candidates = [[u for u in range(h.n) if sig_h[u] == sig_g[v]] for v in order]
+    same_sig: dict[tuple, list[int]] = {}
+    for u in range(h.n):
+        same_sig.setdefault(sig_h[u], []).append(u)
+    candidates = [same_sig[sig_g[v]] for v in order]
     mapping: dict[int, int] = {}
     used = [False] * h.n
-
-    def consistent(v: int, u: int) -> bool:
-        pv, pu = g.edge_partner[v], h.edge_partner[u]
-        if (pv is None) != (pu is None):
-            return False
-        if pv is not None and pv in mapping and mapping[pv] != pu:
-            return False
-        for w, mw in mapping.items():
-            if (w in g.out_arcs[v]) != (mw in h.out_arcs[u]):
-                return False
-            if (v in g.out_arcs[w]) != (u in h.out_arcs[mw]):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for u in candidates[i]:
-            if not used[u] and consistent(v, u):
+    next_pos = [0] * (g.n + 1)  # per depth: index of the next candidate to try
+    depth = 0
+    while 0 <= depth < g.n:
+        v = order[depth]
+        pv = g.edge_partner[v]
+        cands = candidates[depth]
+        for pos in range(next_pos[depth], len(cands)):
+            u = cands[pos]
+            if used[u]:
+                continue
+            pu = h.edge_partner[u]
+            if (pv is None) != (pu is None):
+                continue
+            if pv is not None and pv in mapping and mapping[pv] != pu:
+                continue
+            out_v, out_u = g_out[v], h_out[u]
+            for w, mw in mapping.items():
+                if (w in out_v) != (mw in out_u) or (v in g_out[w]) != (u in h_out[mw]):
+                    break
+            else:
                 mapping[v] = u
                 used[u] = True
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used[u] = False
-        return False
-
-    return extend(0)
+                next_pos[depth] = pos + 1
+                depth += 1
+                next_pos[depth] = 0
+                break
+        else:
+            depth -= 1
+            if depth >= 0:
+                used[mapping.pop(order[depth])] = False
+    return depth == g.n
 
 
 def _iso_signatures(g: MixedGraph) -> list[tuple]:

@@ -18,12 +18,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     MixedGraph,
-    _iso_signatures,
-    are_isomorphic,
     format_edge_list,
+    isomorphism_classes,
     validate_and_profile,
 )
-from .errors import MalformedBaseError, MalformedGraphError, UnsupportedParameterError
+from .errors import MalformedGraphError, UnsupportedParameterError
 from .families import CdrmConvention, Dart, VoltageBaseGraph, cdrm, lift
 from .metrics import diameter
 
@@ -36,7 +35,9 @@ class SearchReport:
     """Outcome of one search run.
 
     ``witnesses`` holds representatives up to isomorphism, sorted by their
-    canonical edge-list text (at most a fixed cap is kept).  ``wall_time`` is
+    canonical edge-list text.  ``lift_search`` keeps at most a fixed number
+    of labelled witnesses, the first by canonical text, before classing
+    them; ``exhaustive_max_order`` classes every witness.  ``wall_time`` is
     informational only and excluded from serialization so that reruns with
     the same seed and budget serialize byte-identically.
     """
@@ -106,7 +107,7 @@ def exhaustive_max_order(
                 found.append(g)
         if found:
             best_order = n
-            witnesses = _isomorphism_classes(found)
+            witnesses = isomorphism_classes(found)
             break
         if exhausted_budget:
             break
@@ -207,7 +208,7 @@ def lift_search(
                     best[text] = g
                     for extra in sorted(best)[_WITNESS_CAP:]:
                         del best[extra]
-    witnesses = _isomorphism_classes(list(best.values()))
+    witnesses = isomorphism_classes(list(best.values()))
     return SearchReport(
         kind="lift",
         k=k,
@@ -344,23 +345,6 @@ def _partial_matchings(
     yield from extend(0)
 
 
-def _isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
-    """Representatives up to isomorphism, sorted by canonical edge-list text.
-
-    Graphs are bucketed by an isomorphism invariant computed once per graph,
-    so ``are_isomorphic`` only runs between graphs sharing a bucket."""
-    ordered = sorted(graphs, key=format_edge_list)
-    reps: list[MixedGraph] = []
-    buckets: dict[tuple, list[MixedGraph]] = {}
-    for g in ordered:
-        key = (g.n, g.num_edges(), g.num_arcs(), tuple(sorted(_iso_signatures(g))))
-        bucket = buckets.setdefault(key, [])
-        if not any(are_isomorphic(g, rep) for rep in bucket):
-            bucket.append(g)
-            reps.append(g)
-    return reps
-
-
 def _build_lift(
     template: LiftTemplate, q: int, voltages: Sequence[int]
 ) -> Optional[MixedGraph]:
@@ -375,7 +359,7 @@ def _build_lift(
     try:
         g = lift(base)
         profile = validate_and_profile(g)
-    except (MalformedBaseError, MalformedGraphError):
+    except MalformedGraphError:
         return None
     return g if profile.bipartite_ok else None
 

@@ -236,6 +236,14 @@ def test_non_isomorphic_same_degrees():
     assert not are_isomorphic(g, h)
 
 
+@pytest.mark.parametrize(
+    "g", [bdm(300), bd_digraph(600)], ids=["bdm300", "bd_digraph600"]
+)
+def test_isomorphism_past_the_recursion_limit(g):
+    # a matcher recursing once per vertex overflows the stack at these orders
+    assert are_isomorphic(g, g)
+
+
 # ---------------------------------------------------------------------------
 # edge-list format
 # ---------------------------------------------------------------------------

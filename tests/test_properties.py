@@ -3,12 +3,13 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mixedgraphs import (
     INFINITE,
     EccentricityReport,
     MixedGraph,
+    are_isomorphic,
     bipartition,
     cdrm,
     contract_edges,
@@ -18,7 +19,6 @@ from mixedgraphs import (
     distance_matrix,
     distances_from,
     eccentricity_report,
-    moore_params,
     validate_and_profile,
     verify_automorphism,
 )
@@ -123,15 +123,6 @@ def test_automorphism_agrees_on_converse(g, rng):
     assert verify_automorphism(g, perm) == verify_automorphism(converse(g), perm)
 
 
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
-@settings(max_examples=40)
-def test_moore_params_invariants(r, z):
-    p = moore_params(r, z)
-    assert abs(p.u1 + p.u2 - (p.d - 1)) < 1e-9
-    assert abs(p.u1 * p.u2 + z) < 1e-9
-    assert abs(p.a + p.b - 1) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # The ball kernel against the queue BFS it replaced
 # ---------------------------------------------------------------------------
@@ -221,3 +212,61 @@ def test_kernel_on_empty_graph():
     assert distance_matrix(g).diameter() == diameter(g) == 0
     assert eccentricity_report(g) == EccentricityReport((), (), 0, 0, 0, (), ())
     assert _iso_signatures(g) == []
+
+
+# ---------------------------------------------------------------------------
+# The iterative isomorphism matcher against the recursive one it replaced
+# ---------------------------------------------------------------------------
+
+def reference_are_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
+    """Reference: recursive backtracking over signature-matched candidates.
+
+    Recursion depth is the order, so it fails on graphs of a few hundred
+    vertices; keep its inputs small."""
+    if g.n != h.n or g.num_edges() != h.num_edges() or g.num_arcs() != h.num_arcs():
+        return False
+    sig_g, sig_h = _iso_signatures(g), _iso_signatures(h)
+    if sorted(sig_g) != sorted(sig_h):
+        return False
+    order = sorted(range(g.n), key=lambda v: (sig_g[v], v))
+    candidates = [[u for u in range(h.n) if sig_h[u] == sig_g[v]] for v in order]
+    mapping: dict[int, int] = {}
+    used = [False] * h.n
+
+    def consistent(v: int, u: int) -> bool:
+        pv, pu = g.edge_partner[v], h.edge_partner[u]
+        if (pv is None) != (pu is None):
+            return False
+        if pv is not None and pv in mapping and mapping[pv] != pu:
+            return False
+        for w, mw in mapping.items():
+            if (w in g.out_arcs[v]) != (mw in h.out_arcs[u]):
+                return False
+            if (v in g.out_arcs[w]) != (u in h.out_arcs[mw]):
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for u in candidates[i]:
+            if not used[u] and consistent(v, u):
+                mapping[v] = u
+                used[u] = True
+                if extend(i + 1):
+                    return True
+                del mapping[v]
+                used[u] = False
+        return False
+
+    return extend(0)
+
+
+@given(mixed_graphs(), mixed_graphs(), st.randoms())
+def test_matcher_agrees_with_recursive_reference(g, h, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    relabelled = g.relabelled(perm)
+    assert are_isomorphic(g, relabelled) == reference_are_isomorphic(g, relabelled)
+    assert are_isomorphic(g, h) == reference_are_isomorphic(g, h)
