@@ -7,6 +7,14 @@ arc permutation fixed to one canonical representative per cycle type; this
 prunes the matching's stabilizer without losing isomorphism classes.
 Candidate evaluation is pure, and all reports merge in a deterministic total
 order, so results do not depend on evaluation order.
+
+The lift search judges each voltage assignment on the base graph, as in
+voltage-graph theory (Gross and Tucker, Topological Graph Theory): a lift is
+malformed exactly when the darts form no matching of edges or a voltage
+congruence on one or two darts holds.  Every lift of a base whose underlying
+graph is bipartite is bipartite; lifts of other bases are 2-coloured one by
+one.  Only the well-formed assignments are built, directly from the darts,
+for the diameter; only the kept witnesses are built with ``families.lift``.
 """
 
 from __future__ import annotations
@@ -16,13 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import (
-    MixedGraph,
-    format_edge_list,
-    isomorphism_classes,
-    validate_and_profile,
-)
-from .errors import MalformedGraphError, UnsupportedParameterError
+from .core import MixedGraph, bipartition, format_edge_list, isomorphism_classes
+from .errors import UnsupportedParameterError
 from .families import CdrmConvention, Dart, VoltageBaseGraph, cdrm, lift
 from .metrics import diameter
 
@@ -163,25 +166,46 @@ def lift_search(
 
     For each group order q the q^darts assignment space is enumerated fully
     when it fits in the remaining budget and sampled deterministically from a
-    counter-based generator keyed by the seed otherwise.  Only validated
-    bipartite lifts count as witnesses.  Reports are byte-identical across
-    reruns with the same arguments.
+    counter-based generator keyed by the seed otherwise.  Each candidate is
+    judged on the base graph: malformed lifts are rejected from the darts
+    and voltages alone, and only well-formed lifts are built, directly, to
+    measure their diameter.  When the base's underlying graph is bipartite
+    so is every lift; otherwise each built lift is 2-coloured, and lifts
+    that are not bipartite are rejected.  The witnesses kept are the
+    first by canonical text, and only they are built with ``lift``, labels
+    included.  Reports are byte-identical across reruns with the same
+    arguments.
+
+    Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
+    group order below 1, and MalformedBaseError for a template without
+    vertices or with a dart endpoint out of range, all before any candidate
+    is evaluated.
     """
+    if k < 1:
+        raise UnsupportedParameterError(f"diameter must be >= 1, got {k}")
     if budget <= 0:
         raise UnsupportedParameterError(f"budget must be positive, got {budget}")
-    start = time.perf_counter()
     orders = [int(q) for q in q_range]
+    for q in orders:
+        if q < 1:
+            raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
+    # the template's vertex count and dart endpoints, checked on a base
+    # whose voltages are all 0
+    _voltage_base(template, 1, [0] * template.dart_count).validate()
+    start = time.perf_counter()
     candidates = 0
     remaining = budget
     exhaustive = True
     best_order: Optional[int] = None
-    best: dict[str, MixedGraph] = {}  # canonical text -> witness
+    # canonical text -> (q, voltages) of the first lift seen with that text,
+    # for the _WITNESS_CAP smallest texts at the best order
+    kept: dict[str, tuple[int, tuple[int, ...]]] = {}
     for q in orders:
-        if q < 1:
-            raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
         if remaining <= 0:
             exhaustive = False
             break
+        evaluator = _LiftEvaluator(template, q)
+        order = template.n * q
         space = q**template.dart_count
         if space <= remaining:
             assignments: Iterable[tuple[int, ...]] = itertools.product(
@@ -196,19 +220,24 @@ def lift_search(
         for voltages in assignments:
             candidates += 1
             remaining -= 1
-            g = _build_lift(template, q, voltages)
+            g = evaluator.lift_if_valid(voltages)
             if g is None:
                 continue
-            order = template.n * q
             if diameter(g) <= k and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
-                    best_order, best = order, {}
+                    best_order, kept = order, {}
                 text = format_edge_list(g)
-                if text not in best:
-                    best[text] = g
-                    for extra in sorted(best)[_WITNESS_CAP:]:
-                        del best[extra]
-    witnesses = isomorphism_classes(list(best.values()))
+                if text in kept:
+                    continue
+                if len(kept) == _WITNESS_CAP:
+                    worst = max(kept)
+                    if text > worst:
+                        continue
+                    del kept[worst]
+                kept[text] = (q, voltages)
+    witnesses = isomorphism_classes(
+        [lift(_voltage_base(template, q, voltages)) for q, voltages in kept.values()]
+    )
     return SearchReport(
         kind="lift",
         k=k,
@@ -345,9 +374,104 @@ def _partial_matchings(
     yield from extend(0)
 
 
-def _build_lift(
+# ---------------------------------------------------------------------------
+# Lift candidates, judged on the base graph
+# ---------------------------------------------------------------------------
+
+class _LiftEvaluator:
+    """Decides from the darts and voltages alone whether a voltage
+    assignment on a template lifts to a well-formed mixed graph over Z_q,
+    and builds the lift only when it does and is bipartite.
+
+    Voltages are indexed as in ``LiftTemplate``: edge darts first, then arc
+    darts.  The template's endpoints must lie in 0..n-1.  Lift vertex
+    (b, x) gets index b*q + x, as in ``families.lift``.
+    """
+
+    def __init__(self, template: LiftTemplate, q: int) -> None:
+        self.n = template.n
+        self.q = q
+        self.edge_darts = template.edge_darts
+        n_edges = len(template.edge_darts)
+        # An edge loop, or two edge darts at one base vertex, gives every
+        # lift vertex over it two edges or a loop, whatever the voltages.
+        ends = [v for dart in template.edge_darts for v in dart]
+        self.always_malformed = len(set(ends)) < len(ends)
+        # Every other malformation is (v_i + sign * v_j) % q == 0 for one
+        # rule (i, j, sign).  An arc dart paired with itself is a loop: a
+        # self-loop or a digon in the lift when twice its voltage is 0.
+        self.rules: list[tuple[int, int, int]] = []
+        for a, (u, v) in enumerate(template.arc_darts):
+            i = n_edges + a
+            for b in range(a, len(template.arc_darts)):
+                dart = template.arc_darts[b]
+                if dart == (v, u):
+                    self.rules.append((i, n_edges + b, 1))  # digon
+                if b > a and dart == (u, v):
+                    self.rules.append((i, n_edges + b, -1))  # duplicate arc
+            for e, dart in enumerate(template.edge_darts):
+                if dart == (u, v):
+                    self.rules.append((i, e, -1))  # arc along an edge
+                elif dart == (v, u):
+                    self.rules.append((i, e, 1))
+        self.arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for a, (tail, head) in enumerate(template.arc_darts):
+            self.arcs_from[tail].append((n_edges + a, head))
+        # The projection maps a closed walk in a lift to one of the same
+        # length in the base, so every lift of a base whose underlying graph
+        # (arc loops included) is bipartite is bipartite.  Lifts of any
+        # other base are checked one by one.
+        self.base_bipartite = False
+        if not self.always_malformed:
+            partner: list[Optional[int]] = [None] * self.n
+            for tail, head in template.edge_darts:
+                partner[tail], partner[head] = head, tail
+            base = MixedGraph(
+                n=self.n,
+                edge_partner=tuple(partner),
+                out_arcs=tuple(
+                    tuple(head for _, head in darts) for darts in self.arcs_from
+                ),
+            )
+            self.base_bipartite = bipartition(base) is not None
+
+    def fibre(self, b: int, s: int) -> tuple[int, ...]:
+        """The indices of lift vertices (b, x + s) for x = 0..q-1."""
+        q = self.q
+        return (*range(b * q + s, b * q + q), *range(b * q, b * q + s))
+
+    def lift_if_valid(self, voltages: Sequence[int]) -> Optional[MixedGraph]:
+        """The lift, unlabelled, if it is well formed and bipartite, else
+        None."""
+        if self.always_malformed:
+            return None
+        q = self.q
+        volts = [voltage % q for voltage in voltages]
+        for i, j, sign in self.rules:
+            if (volts[i] + sign * volts[j]) % q == 0:
+                return None
+        fibre = self.fibre
+        partner: list[Optional[int]] = [None] * (self.n * q)
+        for e, (tail, head) in enumerate(self.edge_darts):
+            partner[tail * q : tail * q + q] = fibre(head, volts[e])
+            partner[head * q : head * q + q] = fibre(tail, -volts[e] % q)
+        out_arcs: list[tuple[int, ...]] = []
+        for darts in self.arcs_from:
+            if darts:
+                out_arcs.extend(zip(*[fibre(head, volts[i]) for i, head in darts]))
+            else:
+                out_arcs.extend([()] * q)
+        g = MixedGraph(
+            n=self.n * q, edge_partner=tuple(partner), out_arcs=tuple(out_arcs)
+        )
+        if not self.base_bipartite and bipartition(g) is None:
+            return None
+        return g
+
+
+def _voltage_base(
     template: LiftTemplate, q: int, voltages: Sequence[int]
-) -> Optional[MixedGraph]:
+) -> VoltageBaseGraph:
     darts = []
     for (tail, head), voltage in zip(template.edge_darts, voltages):
         darts.append(Dart(tail, head, voltage % q, "edge"))
@@ -355,13 +479,7 @@ def _build_lift(
         template.arc_darts, voltages[len(template.edge_darts) :]
     ):
         darts.append(Dart(tail, head, voltage % q, "arc"))
-    base = VoltageBaseGraph(n=template.n, group_order=q, darts=tuple(darts))
-    try:
-        g = lift(base)
-        profile = validate_and_profile(g)
-    except MalformedGraphError:
-        return None
-    return g if profile.bipartite_ok else None
+    return VoltageBaseGraph(n=template.n, group_order=q, darts=tuple(darts))
 
 
 def _splitmix64(x: int) -> int:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from mixedgraphs import bdm, diameter, format_edge_list, parse_edge_list
+from mixedgraphs import bdm, diameter, families, format_edge_list, parse_edge_list, search
 from mixedgraphs.cli import graph_from_json, graph_to_dot, graph_to_json, main
+from mixedgraphs.errors import MalformedGraphError
+from test_search import refuse_evaluation
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +148,24 @@ def test_verify_suites_pass(capsys, suite):
     assert "PASS" in out
 
 
+def test_verify_crm_table6_reports_a_failing_row(monkeypatch, capsys):
+    real = families.crm_optimal
+
+    def crm_optimal(k):
+        if k == 7:
+            raise MalformedGraphError("chordal ring (20,3) has diameter 8, wanted 7")
+        return real(k)
+
+    monkeypatch.setattr(families, "crm_optimal", crm_optimal)
+    code, out, err = run_cli(capsys, "verify", "crm-table6")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 20  # one line per k = 3..22; the suite goes on
+    assert lines[4] == "FAIL  crm k=7: chordal ring (20,3) has diameter 8, wanted 7"
+    assert all(line.startswith("PASS  crm k=") for line in lines[:4] + lines[5:])
+
+
 def test_analyze_matches_construction_claims(tmp_path, capsys):
     # construct -> file -> analyze agrees with direct measurement
     path = tmp_path / "crm.edges"
@@ -197,3 +217,15 @@ def test_analyze_rejects_json_booleans_as_ids(tmp_path, capsys, payload):
     path = tmp_path / "graph.json"
     path.write_text(payload)
     assert_one_line_error(*run_cli(capsys, "analyze", str(path)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--k", "0", "--q", "5"], ["--k", "6", "--q", "5", "--q", "0"]],
+    ids=["k0", "q0"],
+)
+def test_search_lift_bad_arguments_are_errors(monkeypatch, capsys, argv):
+    monkeypatch.setattr(search, "_LiftEvaluator", refuse_evaluation)
+    assert_one_line_error(*run_cli(
+        capsys, "search", "lift", *argv, "--budget", "20000", "--seed", "1"
+    ))

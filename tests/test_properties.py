@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixedgraphs import (
     INFINITE,
@@ -19,11 +19,15 @@ from mixedgraphs import (
     distance_matrix,
     distances_from,
     eccentricity_report,
+    lift,
     validate_and_profile,
     verify_automorphism,
 )
 from mixedgraphs.core import _iso_signatures
+from mixedgraphs.errors import MalformedGraphError
+from mixedgraphs.families import Dart, VoltageBaseGraph
 from mixedgraphs.metrics import UNREACHABLE
+from mixedgraphs.search import LiftTemplate, _LiftEvaluator
 
 
 @st.composite
@@ -270,3 +274,77 @@ def test_matcher_agrees_with_recursive_reference(g, h, rng):
     relabelled = g.relabelled(perm)
     assert are_isomorphic(g, relabelled) == reference_are_isomorphic(g, relabelled)
     assert are_isomorphic(g, h) == reference_are_isomorphic(g, h)
+
+
+# ---------------------------------------------------------------------------
+# Lift candidates judged on the base against building and checking the lift
+# ---------------------------------------------------------------------------
+
+def reference_lift_candidate(template: LiftTemplate, q: int, voltages):
+    """Reference: build the lift with ``families.lift``, check it with
+    ``validate_and_profile``, then measure its diameter.  None when the lift
+    is malformed or not bipartite, else (lift, diameter)."""
+    n_edges = len(template.edge_darts)
+    darts = [
+        Dart(tail, head, voltage % q, "edge")
+        for (tail, head), voltage in zip(template.edge_darts, voltages)
+    ]
+    darts += [
+        Dart(tail, head, voltage % q, "arc")
+        for (tail, head), voltage in zip(template.arc_darts, voltages[n_edges:])
+    ]
+    base = VoltageBaseGraph(n=template.n, group_order=q, darts=tuple(darts))
+    try:
+        g = lift(base)
+        profile = validate_and_profile(g)
+    except MalformedGraphError:
+        return None
+    if not profile.bipartite_ok:
+        return None
+    return g, diameter(g)
+
+
+def assert_evaluator_matches_reference(evaluator, template, q, voltages) -> None:
+    expected = reference_lift_candidate(template, q, voltages)
+    g = evaluator.lift_if_valid(voltages)
+    assert (g is None) == (expected is None), (template, q, voltages)
+    if g is not None:
+        reference, d = expected
+        assert diameter(g) == d
+        assert g.edges() == reference.edges()
+        assert g.arcs() == reference.arcs()
+
+
+@st.composite
+def lift_candidates(draw):
+    """A template with loops, repeated darts and disconnected bases allowed,
+    a group order, and voltages outside 0..q-1 as well as inside."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    dart = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    template = LiftTemplate(
+        n=n,
+        edge_darts=tuple(draw(st.lists(dart, max_size=3))),
+        arc_darts=tuple(draw(st.lists(dart, max_size=5))),
+    )
+    q = draw(st.integers(min_value=1, max_value=8))
+    voltages = draw(
+        st.lists(
+            st.integers(-q, 2 * q - 1),
+            min_size=template.dart_count,
+            max_size=template.dart_count,
+        )
+    )
+    return template, q, tuple(voltages)
+
+
+# A base that is not bipartite, in two components whose odd cycles have net
+# voltages 1 and 2 in Z_4: each lift component is bipartite, although the
+# two cycle values together generate a closed walk of odd length and net
+# voltage 0.
+@example((LiftTemplate(4, (), ((0, 0), (1, 2), (2, 3), (3, 1))), 4, (1, 2, 0, 0)))
+@settings(max_examples=500)
+@given(lift_candidates())
+def test_lift_evaluator_matches_reference(candidate):
+    template, q, voltages = candidate
+    evaluator = _LiftEvaluator(template, q)
+    assert_evaluator_matches_reference(evaluator, template, q, voltages)

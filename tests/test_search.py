@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -19,9 +21,10 @@ from mixedgraphs import (
     format_edge_list,
     validate_and_profile,
 )
-from mixedgraphs.errors import UnsupportedParameterError
-from mixedgraphs.search import _totally_regular_candidates
-from test_properties import reference_are_isomorphic
+from mixedgraphs import search
+from mixedgraphs.errors import MalformedBaseError, UnsupportedParameterError
+from mixedgraphs.search import LiftTemplate, _LiftEvaluator, _totally_regular_candidates
+from test_properties import assert_evaluator_matches_reference, reference_are_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +118,10 @@ def test_bucketed_classes_match_all_pairs_loop():
 # lift search
 # ---------------------------------------------------------------------------
 
+def report_digest(report) -> str:
+    return hashlib.sha256(report.serialize().encode("utf-8")).hexdigest()
+
+
 def test_lift_search_finds_the_order20_lift():
     report = lift_search(6, four_vertex_template(), [5], budget=20000, seed=11)
     assert report.best_order == 20
@@ -124,6 +131,9 @@ def test_lift_search_finds_the_order20_lift():
         assert witness.n == 20
         assert diameter(witness) <= 6
         assert bipartition(witness) is not None
+    assert report_digest(report) == (
+        "2725c9900418b6c8e654c7307aadb124145d4b4f1b23249fcf95deca7a46a711"
+    )
 
 
 def test_lift_search_empty_range_is_empty_report():
@@ -137,6 +147,69 @@ def test_lift_search_two_vertex_template():
     report = lift_search(4, two_vertex_template(), [4, 5], budget=1000, seed=3)
     assert report.best_order == 10  # order 10 at q=5 with diameter 4
     assert report.exhaustive
+    assert report_digest(report) == (
+        "4fcc725fefd001445cc6cf2af781649a3d98cf0f0892c5afa978837ca0190d6a"
+    )
+
+
+def test_lift_search_sampled_report_is_pinned():
+    # the full q=5 space, then 4,375 seeded q=7 samples
+    report = lift_search(6, four_vertex_template(), [5, 7], budget=20000, seed=3)
+    assert report.candidates == 20000
+    assert report_digest(report) == (
+        "e3f8bcf22a5d869da62a93e183ac815c2792a0a5577d7a34afcb88c5eacec268"
+    )
+
+
+@pytest.mark.parametrize(
+    "template, q",
+    [(four_vertex_template(), q) for q in range(1, 5)]
+    + [(two_vertex_template(), q) for q in range(1, 8)],
+    ids=[f"four-q{q}" for q in range(1, 5)] + [f"two-q{q}" for q in range(1, 8)],
+)
+def test_lift_evaluator_matches_reference_on_every_assignment(template, q):
+    evaluator = _LiftEvaluator(template, q)
+    for voltages in itertools.product(range(q), repeat=template.dart_count):
+        assert_evaluator_matches_reference(evaluator, template, q, voltages)
+
+
+def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
+    coloured = []
+
+    def counting_bipartition(g):
+        coloured.append(g.n)
+        return bipartition(g)
+
+    monkeypatch.setattr(search, "bipartition", counting_bipartition)
+    # every lift of a bipartite base is bipartite: only the base is coloured
+    lift_search(6, four_vertex_template(), [3, 4], budget=20000, seed=1)
+    assert coloured == [4, 4]
+    coloured.clear()
+    # an arc triangle is not bipartite: each well-formed lift is coloured
+    triangle = LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0)))
+    lift_search(2, triangle, [2], budget=100, seed=1)
+    assert coloured == [3] + [6] * 8
+
+
+def refuse_evaluation(template, q):
+    pytest.fail("a candidate was evaluated before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "k, template, q_range, error",
+    [
+        (0, four_vertex_template(), [5], UnsupportedParameterError),
+        (6, four_vertex_template(), [5, 0], UnsupportedParameterError),
+        (6, LiftTemplate(0, (), ()), [5], MalformedBaseError),
+        (6, LiftTemplate(2, ((0, 2),), ()), [5], MalformedBaseError),
+        (6, LiftTemplate(2, (), ((0, 1), (-1, 0))), [5], MalformedBaseError),
+    ],
+    ids=["k0", "q0", "no-vertices", "edge-endpoint", "arc-endpoint"],
+)
+def test_lift_search_checks_arguments_first(monkeypatch, k, template, q_range, error):
+    monkeypatch.setattr(search, "_LiftEvaluator", refuse_evaluation)
+    with pytest.raises(error):
+        lift_search(k, template, q_range, budget=20000, seed=1)
 
 
 def test_lift_search_reports_are_byte_identical():
