@@ -267,8 +267,9 @@ def are_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
     """True iff some bijection of vertices maps g's edges onto h's edges and
     g's arcs onto h's arcs, direction kept.
 
-    Decided by :func:`isomorphism_classes`, whose backtracking takes time
-    exponential in the order in the worst case.
+    Decided by :func:`isomorphism_classes`: in O(n^2) time when both graphs
+    have a canonical form, and otherwise by a backtracking matcher whose
+    worst case is exponential in the order.
     """
     return len(isomorphism_classes([g, h])) == 1
 
@@ -276,18 +277,31 @@ def are_isomorphic(g: MixedGraph, h: MixedGraph) -> bool:
 def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
     """Representatives up to isomorphism, sorted by canonical edge-list text.
 
-    Each graph's per-vertex invariant signatures are computed once, and
-    graphs are bucketed by (order, #edges, #arcs, sorted signatures); a
-    backtracking matcher then runs only between graphs sharing a bucket.
-    The matcher maps vertices only onto vertices of equal signature.  That
-    prunes little when many vertices share one signature, as in the
-    symmetric families, and the worst case is then exponential in the
-    order: ``bdm(10)`` (40 vertices) against random relabellings of itself
-    took from 9 s to over a minute on a 2-CPU Xeon host with Python 3.11.
+    The graphs are taken in order of canonical text, and the first graph of
+    each class becomes its representative.  A strongly connected graph with
+    out-degree at most one everywhere, such as every search witness of
+    finite diameter, has an exact canonical form (:func:`_canonical_form`),
+    and such graphs are classed by it alone.  Every other graph, such as
+    ``bd_digraph`` (out-degree 2) or one that is not strongly connected,
+    gets per-vertex invariant signatures, computed once, and is bucketed by
+    (order, #edges, #arcs, sorted signatures); a backtracking matcher then
+    runs only between graphs sharing a bucket.  The matcher maps vertices
+    only onto vertices of equal signature.  That prunes little when many
+    vertices share one signature, and its worst case is then exponential in
+    the order: ``bd_digraph(20)`` (40 vertices) against random relabellings
+    of itself took from 7 s to over 20 s on a 2-CPU Xeon host with
+    Python 3.11.
     """
     reps: list[MixedGraph] = []
+    forms: set[tuple[int, ...]] = set()
     buckets: dict[tuple, list[tuple[MixedGraph, list[tuple]]]] = {}
     for g in sorted(graphs, key=format_edge_list):
+        form = _canonical_form(g)
+        if form is not None:
+            if form not in forms:
+                forms.add(form)
+                reps.append(g)
+            continue
         sig = _iso_signatures(g)
         key = (g.n, g.num_edges(), g.num_arcs(), tuple(sorted(sig)))
         bucket = buckets.setdefault(key, [])
@@ -295,6 +309,78 @@ def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
             bucket.append((g, sig))
             reps.append(g)
     return reps
+
+
+def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
+    """An exact canonical form for a strongly connected graph whose vertices
+    each have at most one out-arc, or None for any other graph.
+
+    From a root, a breadth-first walk that takes a vertex's edge partner
+    before its out-arc head visits the vertices in an order the root alone
+    decides, so numbering them in visit order leaves no choice: one
+    individualised vertex makes the partition discrete (McKay and Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 2014).  Vertex i
+    in visit order is encoded as its (partner number, head number) pair,
+    -1 for none, packed into one int that sorts as the pair does.  The form
+    is the least encoding over all roots; a root's walk stops once its
+    prefix exceeds the least encoding so far.  Two graphs of the domain get
+    equal forms exactly when they are isomorphic.  Strong connectivity, the
+    domain test, is isomorphism-invariant, so isomorphic graphs never take
+    different paths.  O(n^2) time and no recursion.
+    """
+    n = g.n
+    heads: list[Optional[int]] = []
+    for arcs in g.out_arcs:
+        if len(arcs) > 1:
+            return None
+        heads.append(arcs[0] if arcs else None)
+    if n == 0 or not (
+        _reaches_all(g.successors()) and _reaches_all(g.predecessors())
+    ):
+        return None
+    partner = g.edge_partner
+    width = n + 1
+    best: list[int] = []
+    for root in range(n):
+        number = [-1] * n
+        number[root] = 0
+        order = [root]
+        code: list[int] = []
+        tied = bool(best)  # equal to best so far; False once below it
+        for i, v in enumerate(order):  # order grows as vertices are numbered
+            entry = 0
+            for w in (partner[v], heads[v]):
+                x = 0
+                if w is not None:
+                    x = number[w]
+                    if x < 0:
+                        x = number[w] = len(order)
+                        order.append(w)
+                    x += 1
+                entry = entry * width + x
+            if tied:
+                least = best[i]
+                if entry > least:
+                    break
+                tied = entry == least
+            code.append(entry)
+        else:
+            if not tied:
+                best = code
+    return tuple(best)
+
+
+def _reaches_all(adj: Sequence[Sequence[int]]) -> bool:
+    """True iff every vertex is reachable from vertex 0 along ``adj``."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
 
 
 def _match(

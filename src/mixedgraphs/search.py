@@ -164,8 +164,9 @@ def lift_search(
     """Search voltage assignments on a template for large lifts of diameter
     <= k.
 
-    For each group order q the q^darts assignment space is enumerated fully
-    when it fits in the remaining budget and sampled deterministically from a
+    For each distinct group order q, in order of first occurrence in
+    ``q_range``, the q^darts assignment space is enumerated fully when it
+    fits in the remaining budget and sampled deterministically from a
     counter-based generator keyed by the seed otherwise.  Each candidate is
     judged on the base graph: malformed lifts are rejected from the darts
     and voltages alone, and only well-formed lifts are built, directly, to
@@ -189,6 +190,7 @@ def lift_search(
     for q in orders:
         if q < 1:
             raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
+    orders = list(dict.fromkeys(orders))  # a repeated order is searched once
     # the template's vertex count and dart endpoints, checked on a base
     # whose voltages are all 0
     _voltage_base(template, 1, [0] * template.dart_count).validate()

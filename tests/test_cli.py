@@ -104,6 +104,17 @@ def test_search_lift_command(capsys):
     assert "seed=7" in out
 
 
+def test_search_lift_searches_a_repeated_order_once(capsys):
+    argv = ["search", "lift", "--k", "4", "--template", "2", "--budget", "1000",
+            "--seed", "1"]
+    code, once, _ = run_cli(capsys, *argv, "--q", "2")
+    assert code == 0
+    assert "candidates=8 " in once
+    code, twice, _ = run_cli(capsys, *argv, "--q", "2", "--q", "2")
+    assert code == 0
+    assert twice == once
+
+
 def test_search_cdrm_command(capsys):
     code, out, _ = run_cli(capsys, "search", "cdrm-scan", "--m", "10")
     assert code == 0

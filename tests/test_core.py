@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mixedgraphs import (
@@ -9,6 +11,7 @@ from mixedgraphs import (
     are_isomorphic,
     bd_digraph,
     bdm,
+    bdm_star,
     bipartition,
     contract_edges,
     converse,
@@ -19,6 +22,7 @@ from mixedgraphs import (
     validate_and_profile,
     verify_automorphism,
 )
+from mixedgraphs.core import _canonical_form
 from mixedgraphs.families import automorphism_permutation
 
 
@@ -242,6 +246,26 @@ def test_non_isomorphic_same_degrees():
 def test_isomorphism_past_the_recursion_limit(g):
     # a matcher recursing once per vertex overflows the stack at these orders
     assert are_isomorphic(g, g)
+
+
+@pytest.mark.parametrize("m", [10, 20])
+def test_relabelled_bdm_is_isomorphic(m):
+    # 9 s to over a minute for m = 10 with the backtracking matcher alone;
+    # the canonical form decides it in milliseconds
+    g = bdm(m)
+    perm = list(range(g.n))
+    random.Random(m).shuffle(perm)
+    assert are_isomorphic(g, g.relabelled(perm))
+    assert not are_isomorphic(g, bdm_star(m))
+
+
+def test_canonical_form_domain():
+    assert _canonical_form(bdm(300)) is not None
+    assert _canonical_form(MixedGraph.build(1)) == (0,)
+    assert _canonical_form(MixedGraph.build(0)) is None
+    assert _canonical_form(bd_digraph(600)) is None  # out-degree 2
+    # vertex 0 reaches every vertex, but no vertex reaches 0
+    assert _canonical_form(MixedGraph.build(3, arcs=[(0, 1), (1, 2), (2, 1)])) is None
 
 
 # ---------------------------------------------------------------------------

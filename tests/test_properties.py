@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import pytest
@@ -19,15 +20,17 @@ from mixedgraphs import (
     distance_matrix,
     distances_from,
     eccentricity_report,
+    format_edge_list,
+    isomorphism_classes,
     lift,
     validate_and_profile,
     verify_automorphism,
 )
-from mixedgraphs.core import _iso_signatures
+from mixedgraphs.core import _canonical_form, _iso_signatures
 from mixedgraphs.errors import MalformedGraphError
 from mixedgraphs.families import Dart, VoltageBaseGraph
 from mixedgraphs.metrics import UNREACHABLE
-from mixedgraphs.search import LiftTemplate, _LiftEvaluator
+from mixedgraphs.search import LiftTemplate, _LiftEvaluator, _totally_regular_candidates
 
 
 @st.composite
@@ -274,6 +277,83 @@ def test_matcher_agrees_with_recursive_reference(g, h, rng):
     relabelled = g.relabelled(perm)
     assert are_isomorphic(g, relabelled) == reference_are_isomorphic(g, relabelled)
     assert are_isomorphic(g, h) == reference_are_isomorphic(g, h)
+
+
+# ---------------------------------------------------------------------------
+# The canonical form of strongly connected unit out-degree graphs
+# ---------------------------------------------------------------------------
+
+def in_form_domain(g: MixedGraph) -> bool:
+    """Strongly connected, with at most one out-arc at every vertex."""
+    return (
+        g.n > 0
+        and all(len(heads) <= 1 for heads in g.out_arcs)
+        and diameter(g) != INFINITE
+    )
+
+
+# search candidates of finite diameter, the form's main inputs
+REGULAR_WITNESSES = [
+    g for n in range(2, 11, 2) for g in _totally_regular_candidates(n)
+    if diameter(g) != INFINITE
+]
+
+
+@st.composite
+def permutation_graphs(draw) -> MixedGraph:
+    """A random matching plus the arcs of a random permutation, fixed points
+    left without an arc."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    order = draw(st.permutations(list(range(n))))
+    pairs = draw(st.integers(min_value=n // 4, max_value=n // 2))
+    heads = draw(st.permutations(list(range(n))))
+    return MixedGraph.build(
+        n,
+        edges=[(order[2 * i], order[2 * i + 1]) for i in range(pairs)],
+        arcs=[(u, w) for u, w in enumerate(heads) if u != w],
+    )
+
+
+@st.composite
+def strongly_connected_graphs(draw) -> MixedGraph:
+    """Graphs of the form's domain, which mixed_graphs() seldom draws:
+    relabelled search candidates, or permutation graphs that are strongly
+    connected."""
+    g = draw(st.one_of(
+        st.sampled_from(REGULAR_WITNESSES),
+        permutation_graphs().filter(in_form_domain),
+    ))
+    return g.relabelled(draw(st.permutations(list(range(g.n)))))
+
+
+@settings(max_examples=300)
+@given(strongly_connected_graphs(), strongly_connected_graphs(), st.randoms())
+def test_canonical_form_decides_isomorphism(g, h, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    relabelled = g.relabelled(perm)
+    form = _canonical_form(g)
+    assert form is not None
+    assert _canonical_form(relabelled) == form
+    assert (_canonical_form(h) == form) == reference_are_isomorphic(g, h)
+
+
+@given(mixed_graphs(), st.randoms())
+def test_canonical_form_domain_is_invariant(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    form = _canonical_form(g)
+    assert (form is not None) == in_form_domain(g)
+    assert _canonical_form(g.relabelled(perm)) == form
+
+
+def test_reaching_root_without_strong_connectivity_takes_one_path():
+    # vertex 0 reaches every vertex along the edge {0, 1} and the arcs
+    # 1 -> 2 -> 3 -> 4 -> 2, but no vertex of the cycle reaches 0 or 1
+    g = MixedGraph.build(5, edges=[(0, 1)], arcs=[(1, 2), (2, 3), (3, 4), (4, 2)])
+    relabellings = [g.relabelled(perm) for perm in itertools.permutations(range(5))]
+    assert all(_canonical_form(h) is None for h in relabellings)
+    assert isomorphism_classes(relabellings) == [min(relabellings, key=format_edge_list)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from mixedgraphs import (
     validate_and_profile,
 )
 from mixedgraphs import search
+from mixedgraphs.core import _iso_signatures
 from mixedgraphs.errors import MalformedBaseError, UnsupportedParameterError
 from mixedgraphs.search import LiftTemplate, _LiftEvaluator, _totally_regular_candidates
 from test_properties import assert_evaluator_matches_reference, reference_are_isomorphic
@@ -114,6 +115,24 @@ def test_bucketed_classes_match_all_pairs_loop():
     assert isomorphism_classes(graphs) == reps
 
 
+def test_order14_witnesses_class_as_the_reference_loop():
+    found = [g for g in _totally_regular_candidates(14) if diameter(g) <= 5]
+    assert len(found) == 1139
+    reps = []  # all pairs, skipping only pairs the reference itself rejects
+    for g in sorted(found, key=format_edge_list):
+        sig = sorted(_iso_signatures(g))
+        if not any(
+            sig == rep_sig and reference_are_isomorphic(g, rep)
+            for rep, rep_sig in reps
+        ):
+            reps.append((g, sig))
+    classes = isomorphism_classes(found)
+    assert len(classes) == 54
+    assert [format_edge_list(g) for g in classes] == [
+        format_edge_list(rep) for rep, _ in reps
+    ]
+
+
 # ---------------------------------------------------------------------------
 # lift search
 # ---------------------------------------------------------------------------
@@ -156,6 +175,7 @@ def test_lift_search_sampled_report_is_pinned():
     # the full q=5 space, then 4,375 seeded q=7 samples
     report = lift_search(6, four_vertex_template(), [5, 7], budget=20000, seed=3)
     assert report.candidates == 20000
+    assert len(report.witnesses) == 5
     assert report_digest(report) == (
         "e3f8bcf22a5d869da62a93e183ac815c2792a0a5577d7a34afcb88c5eacec268"
     )
@@ -218,6 +238,14 @@ def test_lift_search_reports_are_byte_identical():
     b = lift_search(6, four_vertex_template(), [5, 6], **args)
     assert a.serialize() == b.serialize()
     assert not a.exhaustive  # budget shorter than either space
+
+
+def test_lift_search_searches_each_order_once():
+    args = dict(budget=1000, seed=1)
+    once = lift_search(4, two_vertex_template(), [4, 5], **args)
+    repeated = lift_search(4, two_vertex_template(), [4, 5, 4, 5, 5], **args)
+    assert repeated.candidates == once.candidates == 4**3 + 5**3
+    assert repeated.serialize() == once.serialize()
 
 
 def test_lift_search_budget_required():
