@@ -309,9 +309,11 @@ def _verify_crm_table() -> int:
         except MalformedGraphError as exc:
             failures += _report(f"crm k={k}: {exc}", False)
             continue
+        # crm_upper bounds every chordal ring of diameter k, whatever
+        # crm_optimal's formulas say
         failures += _report(
             f"crm k={k} (n={params.n}, c={params.c}) diameter {params.k}",
-            params.k == k,
+            params.k == k and params.n <= bounds_mod.crm_upper(k),
         )
     return failures
 

@@ -14,8 +14,8 @@ two named automorphisms, the chordal ring families, and voltage-graph lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
+from dataclasses import dataclass, replace
+from typing import Literal, Optional, Sequence
 
 from .core import MixedGraph
 from .errors import (
@@ -441,25 +441,118 @@ class VoltageBaseGraph:
                 raise MalformedBaseError(f"voltage {dart.voltage} outside Z_{self.group_order}")
 
 
+class LiftBuilder:
+    """The cover construction for one base shape: n vertices plus edge and
+    arc darts as (tail, head) pairs, with voltages (edge darts' first) given
+    per lift.  Whether a lift is well formed depends only on the shape and
+    on congruences of one or two voltages (Gross and Tucker, Topological
+    Graph Theory), so the rules are derived once, for every group order,
+    and checked before anything is built.  Lift vertex (b, x) gets index
+    b*q + x.  Raises MalformedBaseError for a shape without vertices or
+    with a dart endpoint out of range.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        edge_darts: Sequence[tuple[int, int]],
+        arc_darts: Sequence[tuple[int, int]],
+    ) -> None:
+        if n < 1:
+            raise MalformedBaseError(f"base needs >= 1 vertex, got {n}")
+        for dart in (*edge_darts, *arc_darts):
+            if not all(0 <= v < n for v in dart):
+                raise MalformedBaseError(f"dart {dart} has an out-of-range endpoint")
+        self.n = n
+        self.edge_darts = tuple(edge_darts)
+        n_edges = len(edge_darts)
+        # An edge loop, or two edge darts at one base vertex, gives every
+        # lift vertex over it two edges or a loop, whatever the voltages.
+        ends = [v for dart in edge_darts for v in dart]
+        self.always_malformed = len(set(ends)) < len(ends)
+        # Every other malformation is (v_i + sign * v_j) % q == 0 for one
+        # rule (i, j, sign).  An arc dart paired with itself is a loop: a
+        # self-loop or a digon in the lift when twice its voltage is 0.
+        self.rules: list[tuple[int, int, int]] = []
+        for a, (u, v) in enumerate(arc_darts):
+            i = n_edges + a
+            for b in range(a, len(arc_darts)):
+                dart = arc_darts[b]
+                if dart == (v, u):
+                    self.rules.append((i, n_edges + b, 1))  # digon
+                if b > a and dart == (u, v):
+                    self.rules.append((i, n_edges + b, -1))  # duplicate arc
+            for e, dart in enumerate(edge_darts):
+                if dart == (u, v):
+                    self.rules.append((i, e, -1))  # arc along an edge
+                elif dart == (v, u):
+                    self.rules.append((i, e, 1))
+        self.arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a, (tail, head) in enumerate(arc_darts):
+            self.arcs_from[tail].append((n_edges + a, head))
+
+    def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
+        """The unlabelled lift over Z_q, or None when it is not a
+        well-formed mixed graph.  Voltages are taken modulo q."""
+        if self.always_malformed:
+            return None
+        volts = [voltage % q for voltage in voltages]
+        for i, j, sign in self.rules:
+            if (volts[i] + sign * volts[j]) % q == 0:
+                return None
+
+        def fibre(b: int, s: int) -> tuple[int, ...]:
+            # the indices of lift vertices (b, x + s) for x = 0..q-1
+            return (*range(b * q + s, b * q + q), *range(b * q, b * q + s))
+
+        partner: list[Optional[int]] = [None] * (self.n * q)
+        for e, (tail, head) in enumerate(self.edge_darts):
+            partner[tail * q : tail * q + q] = fibre(head, volts[e])
+            partner[head * q : head * q + q] = fibre(tail, -volts[e] % q)
+        out_arcs: list[tuple[int, ...]] = []
+        for darts in self.arcs_from:
+            if darts:
+                out_arcs.extend(zip(*[fibre(head, volts[i]) for i, head in darts]))
+            else:
+                out_arcs.extend([()] * q)
+        return MixedGraph(
+            n=self.n * q, edge_partner=tuple(partner), out_arcs=tuple(out_arcs)
+        )
+
+    def labelled(self, g: MixedGraph) -> MixedGraph:
+        """A lift this builder made, with vertex (b, x) labelled "(b,x)"."""
+        q = g.n // self.n
+        labels = tuple(f"({b},{x})" for b in range(self.n) for x in range(q))
+        return replace(g, labels=labels)
+
+
 def lift(base: VoltageBaseGraph) -> MixedGraph:
     """The covering graph of a voltage base over its cyclic group.
 
-    Vertex (b, x) gets index b*q + x.  An edge dart (u, v, g) produces the
-    edges {(u,x), (v,x+g)} for every x; an arc dart produces the arcs
-    (u,x) -> (v,x+g).  The order is n*q.
+    Vertex (b, x) gets index b*q + x and the label "(b,x)".  An edge dart
+    (u, v, g) produces the edges {(u,x), (v,x+g)} for every x; an arc dart
+    produces the arcs (u,x) -> (v,x+g).  The order is n*q.
+
+    Raises MalformedBaseError when the base fails ``validate`` and for
+    every lift that ``validate_and_profile`` would reject: one with a loop,
+    two edges at a vertex, a repeated edge or arc, a digon (opposite arc
+    darts whose voltages sum to 0, or an arc loop with 2g = 0) or an arc
+    along an edge.
     """
     base.validate()
-    q = base.group_order
-    edges, arcs = [], []
-    for dart in base.darts:
-        for x in range(q):
-            pair = (dart.tail * q + x, dart.head * q + (x + dart.voltage) % q)
-            (edges if dart.kind == "edge" else arcs).append(pair)
-    labels = [f"({b},{x})" for b in range(base.n) for x in range(q)]
-    try:
-        return MixedGraph.build(base.n * q, edges=edges, arcs=arcs, labels=labels)
-    except MalformedGraphError as exc:
-        raise MalformedBaseError(f"lift is not a valid mixed graph: {exc}") from exc
+    edges = [d for d in base.darts if d.kind == "edge"]
+    arcs = [d for d in base.darts if d.kind == "arc"]
+    builder = LiftBuilder(
+        base.n, [(d.tail, d.head) for d in edges], [(d.tail, d.head) for d in arcs]
+    )
+    g = builder.cover(base.group_order, [d.voltage for d in edges + arcs])
+    if g is None:
+        raise MalformedBaseError(
+            f"lift over Z_{base.group_order} is not a valid mixed graph: it has a"
+            " loop, two edges at a vertex, a repeated arc, a digon or an arc along"
+            " an edge"
+        )
+    return builder.labelled(g)
 
 
 def bdm5_base() -> VoltageBaseGraph:

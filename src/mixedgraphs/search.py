@@ -8,13 +8,13 @@ prunes the matching's stabilizer without losing isomorphism classes.
 Candidate evaluation is pure, and all reports merge in a deterministic total
 order, so results do not depend on evaluation order.
 
-The lift search judges each voltage assignment on the base graph, as in
-voltage-graph theory (Gross and Tucker, Topological Graph Theory): a lift is
-malformed exactly when the darts form no matching of edges or a voltage
-congruence on one or two darts holds.  Every lift of a base whose underlying
-graph is bipartite is bipartite; lifts of other bases are 2-coloured one by
-one.  Only the well-formed assignments are built, directly from the darts,
-for the diameter; only the kept witnesses are built with ``families.lift``.
+The lift search makes every lift with ``families.LiftBuilder``, the one
+cover construction ``families.lift`` also uses: it rejects a malformed lift
+from the darts and voltages alone and builds only the well-formed ones.
+Every lift of a base whose underlying graph is bipartite is bipartite, so
+the base is 2-coloured once per template and lifts of other bases are
+2-coloured one by one.  The kept witnesses are the graphs the search built,
+with their vertex labels attached.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MixedGraph, bipartition, format_edge_list, isomorphism_classes
 from .errors import UnsupportedParameterError
-from .families import CdrmConvention, Dart, VoltageBaseGraph, cdrm, lift
+from .families import CdrmConvention, LiftBuilder, cdrm
 from .metrics import diameter
 
 _WITNESS_CAP = 8
@@ -39,8 +39,8 @@ class SearchReport:
 
     ``witnesses`` holds representatives up to isomorphism, sorted by their
     canonical edge-list text.  ``lift_search`` keeps at most a fixed number
-    of labelled witnesses, the first by canonical text, before classing
-    them; ``exhaustive_max_order`` classes every witness.  ``wall_time`` is
+    of witnesses, the first by canonical text, and classes them labelled;
+    ``exhaustive_max_order`` classes every witness.  ``wall_time`` is
     informational only and excluded from serialization so that reruns with
     the same seed and budget serialize byte-identically.
     """
@@ -167,14 +167,13 @@ def lift_search(
     For each distinct group order q, in order of first occurrence in
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
-    counter-based generator keyed by the seed otherwise.  Each candidate is
-    judged on the base graph: malformed lifts are rejected from the darts
-    and voltages alone, and only well-formed lifts are built, directly, to
-    measure their diameter.  When the base's underlying graph is bipartite
-    so is every lift; otherwise each built lift is 2-coloured, and lifts
-    that are not bipartite are rejected.  The witnesses kept are the
-    first by canonical text, and only they are built with ``lift``, labels
-    included.  Reports are byte-identical across reruns with the same
+    counter-based generator keyed by the seed otherwise.  One
+    ``families.LiftBuilder``, compiled for the template, rejects malformed
+    lifts from the voltages alone and builds the rest for their diameter.
+    The base is 2-coloured once: if it is bipartite so is every lift,
+    otherwise each built lift is 2-coloured.  The witnesses kept are the
+    first accepted lifts by canonical text, labelled as ``families.lift``
+    labels them.  Reports are byte-identical across reruns with the same
     arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
@@ -191,22 +190,20 @@ def lift_search(
         if q < 1:
             raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
     orders = list(dict.fromkeys(orders))  # a repeated order is searched once
-    # the template's vertex count and dart endpoints, checked on a base
-    # whose voltages are all 0
-    _voltage_base(template, 1, [0] * template.dart_count).validate()
+    builder = LiftBuilder(template.n, template.edge_darts, template.arc_darts)
+    base_bipartite = _base_is_bipartite(template)
     start = time.perf_counter()
     candidates = 0
     remaining = budget
     exhaustive = True
     best_order: Optional[int] = None
-    # canonical text -> (q, voltages) of the first lift seen with that text,
-    # for the _WITNESS_CAP smallest texts at the best order
-    kept: dict[str, tuple[int, tuple[int, ...]]] = {}
+    # canonical text -> the first lift seen with that text, for the
+    # _WITNESS_CAP smallest texts at the best order
+    kept: dict[str, MixedGraph] = {}
     for q in orders:
         if remaining <= 0:
             exhaustive = False
             break
-        evaluator = _LiftEvaluator(template, q)
         order = template.n * q
         space = q**template.dart_count
         if space <= remaining:
@@ -222,8 +219,8 @@ def lift_search(
         for voltages in assignments:
             candidates += 1
             remaining -= 1
-            g = evaluator.lift_if_valid(voltages)
-            if g is None:
+            g = builder.cover(q, voltages)
+            if g is None or not (base_bipartite or bipartition(g) is not None):
                 continue
             if diameter(g) <= k and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
@@ -236,10 +233,8 @@ def lift_search(
                     if text > worst:
                         continue
                     del kept[worst]
-                kept[text] = (q, voltages)
-    witnesses = isomorphism_classes(
-        [lift(_voltage_base(template, q, voltages)) for q, voltages in kept.values()]
-    )
+                kept[text] = g
+    witnesses = isomorphism_classes([builder.labelled(g) for g in kept.values()])
     return SearchReport(
         kind="lift",
         k=k,
@@ -326,162 +321,56 @@ def _derangement_type_representatives(h: int) -> list[tuple[int, ...]]:
 def _general_candidates(n: int) -> Iterator[MixedGraph]:
     """All bipartite mixed graphs on n vertices with every undirected degree
     and out-degree at most one, up to swapping the colour classes.  The space
-    is exponential; use a budget."""
+    is exponential; use a budget.  Arc heads run lexicographically, vertex 0
+    slowest, each None first and then the other class in order."""
     for h0 in range((n + 1) // 2, n):
-        h1 = n - h0
-        class1 = list(range(h0, n))
+        class1 = range(h0, n)
         for matching in _partial_matchings(h0, class1):
-            partner = {u: v for u, v in matching}
-            partner.update({v: u for u, v in matching})
-            heads: list[Optional[int]] = [None] * n
-
-            def assign(v: int) -> Iterator[MixedGraph]:
-                if v == n:
-                    arcs = [(u, w) for u, w in enumerate(heads) if w is not None]
+            partner = [-1] * n
+            for u, v in matching:
+                partner[u], partner[v] = v, u
+            for heads0 in itertools.product((None, *class1), repeat=h0):
+                if any(w == partner[v] for v, w in enumerate(heads0)):
+                    continue  # an arc along an edge
+                for heads1 in itertools.product((None, *range(h0)), repeat=n - h0):
+                    # an arc v -> w out of class 1 along an edge, or closing
+                    # a digon with w -> v
+                    if any(
+                        w is not None and (w == partner[v] or heads0[w] == v)
+                        for v, w in enumerate(heads1, h0)
+                    ):
+                        continue
+                    arcs = [
+                        (v, w) for v, w in enumerate(heads0 + heads1) if w is not None
+                    ]
                     yield MixedGraph.build(n, edges=matching, arcs=arcs)
-                    return
-                options: list[Optional[int]] = [None]
-                targets = class1 if v < h0 else range(h0)
-                for w in targets:
-                    if partner.get(v) == w:
-                        continue  # parallel to the edge
-                    if w < v and heads[w] == v:
-                        continue  # digon
-                    options.append(w)
-                for choice in options:
-                    heads[v] = choice
-                    yield from assign(v + 1)
-                heads[v] = None
-
-            yield from assign(0)
 
 
 def _partial_matchings(
     h0: int, class1: Sequence[int]
 ) -> Iterator[list[tuple[int, int]]]:
-    free = list(class1)
-
-    def extend(v: int) -> Iterator[list[tuple[int, int]]]:
-        if v == h0:
-            yield []
-            return
-        for rest in extend(v + 1):
-            yield rest
-        for idx, w in enumerate(list(free)):
-            del free[idx]
-            for rest in extend(v + 1):
-                yield [(v, w)] + rest
-            free.insert(idx, w)
-
-    yield from extend(0)
+    """Matchings between 0..h0-1 and class1, lexicographically in each v's
+    partner (None first), v = 0 slowest."""
+    for choice in itertools.product((None, *class1), repeat=h0):
+        taken = [w for w in choice if w is not None]
+        if len(set(taken)) == len(taken):
+            yield [(v, w) for v, w in enumerate(choice) if w is not None]
 
 
 # ---------------------------------------------------------------------------
-# Lift candidates, judged on the base graph
+# Lift candidates
 # ---------------------------------------------------------------------------
 
-class _LiftEvaluator:
-    """Decides from the darts and voltages alone whether a voltage
-    assignment on a template lifts to a well-formed mixed graph over Z_q,
-    and builds the lift only when it does and is bipartite.
-
-    Voltages are indexed as in ``LiftTemplate``: edge darts first, then arc
-    darts.  The template's endpoints must lie in 0..n-1.  Lift vertex
-    (b, x) gets index b*q + x, as in ``families.lift``.
-    """
-
-    def __init__(self, template: LiftTemplate, q: int) -> None:
-        self.n = template.n
-        self.q = q
-        self.edge_darts = template.edge_darts
-        n_edges = len(template.edge_darts)
-        # An edge loop, or two edge darts at one base vertex, gives every
-        # lift vertex over it two edges or a loop, whatever the voltages.
-        ends = [v for dart in template.edge_darts for v in dart]
-        self.always_malformed = len(set(ends)) < len(ends)
-        # Every other malformation is (v_i + sign * v_j) % q == 0 for one
-        # rule (i, j, sign).  An arc dart paired with itself is a loop: a
-        # self-loop or a digon in the lift when twice its voltage is 0.
-        self.rules: list[tuple[int, int, int]] = []
-        for a, (u, v) in enumerate(template.arc_darts):
-            i = n_edges + a
-            for b in range(a, len(template.arc_darts)):
-                dart = template.arc_darts[b]
-                if dart == (v, u):
-                    self.rules.append((i, n_edges + b, 1))  # digon
-                if b > a and dart == (u, v):
-                    self.rules.append((i, n_edges + b, -1))  # duplicate arc
-            for e, dart in enumerate(template.edge_darts):
-                if dart == (u, v):
-                    self.rules.append((i, e, -1))  # arc along an edge
-                elif dart == (v, u):
-                    self.rules.append((i, e, 1))
-        self.arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for a, (tail, head) in enumerate(template.arc_darts):
-            self.arcs_from[tail].append((n_edges + a, head))
-        # The projection maps a closed walk in a lift to one of the same
-        # length in the base, so every lift of a base whose underlying graph
-        # (arc loops included) is bipartite is bipartite.  Lifts of any
-        # other base are checked one by one.
-        self.base_bipartite = False
-        if not self.always_malformed:
-            partner: list[Optional[int]] = [None] * self.n
-            for tail, head in template.edge_darts:
-                partner[tail], partner[head] = head, tail
-            base = MixedGraph(
-                n=self.n,
-                edge_partner=tuple(partner),
-                out_arcs=tuple(
-                    tuple(head for _, head in darts) for darts in self.arcs_from
-                ),
-            )
-            self.base_bipartite = bipartition(base) is not None
-
-    def fibre(self, b: int, s: int) -> tuple[int, ...]:
-        """The indices of lift vertices (b, x + s) for x = 0..q-1."""
-        q = self.q
-        return (*range(b * q + s, b * q + q), *range(b * q, b * q + s))
-
-    def lift_if_valid(self, voltages: Sequence[int]) -> Optional[MixedGraph]:
-        """The lift, unlabelled, if it is well formed and bipartite, else
-        None."""
-        if self.always_malformed:
-            return None
-        q = self.q
-        volts = [voltage % q for voltage in voltages]
-        for i, j, sign in self.rules:
-            if (volts[i] + sign * volts[j]) % q == 0:
-                return None
-        fibre = self.fibre
-        partner: list[Optional[int]] = [None] * (self.n * q)
-        for e, (tail, head) in enumerate(self.edge_darts):
-            partner[tail * q : tail * q + q] = fibre(head, volts[e])
-            partner[head * q : head * q + q] = fibre(tail, -volts[e] % q)
-        out_arcs: list[tuple[int, ...]] = []
-        for darts in self.arcs_from:
-            if darts:
-                out_arcs.extend(zip(*[fibre(head, volts[i]) for i, head in darts]))
-            else:
-                out_arcs.extend([()] * q)
-        g = MixedGraph(
-            n=self.n * q, edge_partner=tuple(partner), out_arcs=tuple(out_arcs)
-        )
-        if not self.base_bipartite and bipartition(g) is None:
-            return None
-        return g
-
-
-def _voltage_base(
-    template: LiftTemplate, q: int, voltages: Sequence[int]
-) -> VoltageBaseGraph:
-    darts = []
-    for (tail, head), voltage in zip(template.edge_darts, voltages):
-        darts.append(Dart(tail, head, voltage % q, "edge"))
-    for (tail, head), voltage in zip(
-        template.arc_darts, voltages[len(template.edge_darts) :]
-    ):
-        darts.append(Dart(tail, head, voltage % q, "arc"))
-    return VoltageBaseGraph(n=template.n, group_order=q, darts=tuple(darts))
+def _base_is_bipartite(template: LiftTemplate) -> bool:
+    """Whether the template's underlying graph, arc loops included, is
+    bipartite; a lift maps closed walks to closed walks of the same length,
+    so then every lift is.  Edge darts count as arcs: colouring ignores
+    direction."""
+    heads: list[list[int]] = [[] for _ in range(template.n)]
+    for tail, head in template.edge_darts + template.arc_darts:
+        heads[tail].append(head)
+    base = MixedGraph(template.n, (None,) * template.n, tuple(map(tuple, heads)))
+    return bipartition(base) is not None
 
 
 def _splitmix64(x: int) -> int:

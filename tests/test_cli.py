@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from mixedgraphs import bdm, diameter, families, format_edge_list, parse_edge_list, search
+from mixedgraphs import bdm, diameter, families, format_edge_list, parse_edge_list
 from mixedgraphs.cli import graph_from_json, graph_to_dot, graph_to_json, main
 from mixedgraphs.errors import MalformedGraphError
 from test_search import refuse_evaluation
@@ -104,6 +105,16 @@ def test_search_lift_command(capsys):
     assert "seed=7" in out
 
 
+def test_search_exhaustive_general_past_the_recursion_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "exhaustive", "--general", "--k", "4",
+        "--n-max", "2000", "--budget", "10",
+    )
+    assert code == 0
+    assert err == ""
+    assert " candidates=10 " in out
+
+
 def test_search_lift_searches_a_repeated_order_once(capsys):
     argv = ["search", "lift", "--k", "4", "--template", "2", "--budget", "1000",
             "--seed", "1"]
@@ -177,6 +188,25 @@ def test_verify_crm_table6_reports_a_failing_row(monkeypatch, capsys):
     assert all(line.startswith("PASS  crm k=") for line in lines[:4] + lines[5:])
 
 
+def test_verify_crm_table6_fails_a_row_above_the_order_bound(monkeypatch, capsys):
+    real = families.crm_optimal
+
+    def crm_optimal(k):
+        params = real(k)
+        if k == 9:  # crm_upper(9) = 50
+            return dataclasses.replace(params, n=52)
+        return params
+
+    monkeypatch.setattr(families, "crm_optimal", crm_optimal)
+    code, out, err = run_cli(capsys, "verify", "crm-table6")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 20
+    assert lines[6] == "FAIL  crm k=9 (n=52, c=9) diameter 9"
+    assert all(line.startswith("PASS  crm k=") for line in lines[:6] + lines[7:])
+
+
 def test_analyze_matches_construction_claims(tmp_path, capsys):
     # construct -> file -> analyze agrees with direct measurement
     path = tmp_path / "crm.edges"
@@ -236,7 +266,7 @@ def test_analyze_rejects_json_booleans_as_ids(tmp_path, capsys, payload):
     ids=["k0", "q0"],
 )
 def test_search_lift_bad_arguments_are_errors(monkeypatch, capsys, argv):
-    monkeypatch.setattr(search, "_LiftEvaluator", refuse_evaluation)
+    monkeypatch.setattr(families.LiftBuilder, "cover", refuse_evaluation)
     assert_one_line_error(*run_cli(
         capsys, "search", "lift", *argv, "--budget", "20000", "--seed", "1"
     ))

@@ -403,6 +403,16 @@ def test_lift_rejects_malformed_bases():
     # an arc loop with zero voltage would lift to self-loops
     with pytest.raises(MalformedBaseError):
         lift(VoltageBaseGraph(n=1, group_order=3, darts=(Dart(0, 0, 0, "arc"),)))
+    # what validate_and_profile rejects: a digon, an arc loop with 2g = 0,
+    # an arc along an edge and one against it
+    for darts in [
+        (Dart(0, 1, 1, "arc"), Dart(1, 0, 5, "arc")),
+        (Dart(0, 0, 3, "arc"),),
+        (Dart(0, 1, 1, "edge"), Dart(0, 1, 1, "arc")),
+        (Dart(0, 1, 1, "edge"), Dart(1, 0, 5, "arc")),
+    ]:
+        with pytest.raises(MalformedBaseError):
+            lift(VoltageBaseGraph(n=2, group_order=6, darts=darts))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,14 @@ from mixedgraphs import (
     verify_automorphism,
 )
 from mixedgraphs.core import _canonical_form, _iso_signatures
-from mixedgraphs.errors import MalformedGraphError
-from mixedgraphs.families import Dart, VoltageBaseGraph
+from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
+from mixedgraphs.families import Dart, LiftBuilder, VoltageBaseGraph
 from mixedgraphs.metrics import UNREACHABLE
-from mixedgraphs.search import LiftTemplate, _LiftEvaluator, _totally_regular_candidates
+from mixedgraphs.search import (
+    LiftTemplate,
+    _base_is_bipartite,
+    _totally_regular_candidates,
+)
 
 
 @st.composite
@@ -357,11 +361,28 @@ def test_reaching_root_without_strong_connectivity_takes_one_path():
 
 
 # ---------------------------------------------------------------------------
-# Lift candidates judged on the base against building and checking the lift
+# Lifts from the builder against building and checking the lift
 # ---------------------------------------------------------------------------
 
+def reference_lift(base: VoltageBaseGraph) -> MixedGraph:
+    """Reference: the lift through ``MixedGraph.build``, which accepts the
+    digons and arcs along edges that ``validate_and_profile`` rejects."""
+    base.validate()
+    q = base.group_order
+    edges, arcs = [], []
+    for dart in base.darts:
+        for x in range(q):
+            pair = (dart.tail * q + x, dart.head * q + (x + dart.voltage) % q)
+            (edges if dart.kind == "edge" else arcs).append(pair)
+    labels = [f"({b},{x})" for b in range(base.n) for x in range(q)]
+    try:
+        return MixedGraph.build(base.n * q, edges=edges, arcs=arcs, labels=labels)
+    except MalformedGraphError as exc:
+        raise MalformedBaseError(f"lift is not a valid mixed graph: {exc}") from exc
+
+
 def reference_lift_candidate(template: LiftTemplate, q: int, voltages):
-    """Reference: build the lift with ``families.lift``, check it with
+    """Reference: build the lift with ``reference_lift``, check it with
     ``validate_and_profile``, then measure its diameter.  None when the lift
     is malformed or not bipartite, else (lift, diameter)."""
     n_edges = len(template.edge_darts)
@@ -375,7 +396,7 @@ def reference_lift_candidate(template: LiftTemplate, q: int, voltages):
     ]
     base = VoltageBaseGraph(n=template.n, group_order=q, darts=tuple(darts))
     try:
-        g = lift(base)
+        g = reference_lift(base)
         profile = validate_and_profile(g)
     except MalformedGraphError:
         return None
@@ -384,9 +405,13 @@ def reference_lift_candidate(template: LiftTemplate, q: int, voltages):
     return g, diameter(g)
 
 
-def assert_evaluator_matches_reference(evaluator, template, q, voltages) -> None:
+def assert_builder_matches_reference(builder, template, q, voltages) -> None:
+    """The builder's lift, kept by ``lift_search`` only when the base or
+    the lift is bipartite, against the reference."""
     expected = reference_lift_candidate(template, q, voltages)
-    g = evaluator.lift_if_valid(voltages)
+    g = builder.cover(q, voltages)
+    if g is not None and not _base_is_bipartite(template) and bipartition(g) is None:
+        g = None
     assert (g is None) == (expected is None), (template, q, voltages)
     if g is not None:
         reference, d = expected
@@ -426,5 +451,44 @@ def lift_candidates(draw):
 @given(lift_candidates())
 def test_lift_evaluator_matches_reference(candidate):
     template, q, voltages = candidate
-    evaluator = _LiftEvaluator(template, q)
-    assert_evaluator_matches_reference(evaluator, template, q, voltages)
+    builder = LiftBuilder(template.n, template.edge_darts, template.arc_darts)
+    assert_builder_matches_reference(builder, template, q, voltages)
+
+
+@st.composite
+def voltage_bases(draw) -> VoltageBaseGraph:
+    """A base with edge and arc darts interleaved, loops and repeats
+    allowed, and now and then a voltage outside Z_q."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    q = draw(st.integers(min_value=1, max_value=6))
+    dart = st.builds(
+        Dart,
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.integers(0, q - 1) | st.integers(-1, q),
+        st.sampled_from(["edge", "arc"]),
+    )
+    darts = draw(st.lists(dart, max_size=6))
+    return VoltageBaseGraph(n=n, group_order=q, darts=tuple(darts))
+
+
+def reference_rejects(base: VoltageBaseGraph) -> bool:
+    try:
+        validate_and_profile(reference_lift(base))
+    except MalformedGraphError:
+        return True
+    return False
+
+
+@example(VoltageBaseGraph(2, 3, (Dart(0, 1, 1, "arc"), Dart(1, 0, 2, "arc"))))
+@example(VoltageBaseGraph(1, 4, (Dart(0, 0, 2, "arc"),)))
+@example(VoltageBaseGraph(2, 3, (Dart(0, 1, 1, "edge"), Dart(1, 0, 2, "arc"))))
+@settings(max_examples=500)
+@given(voltage_bases())
+def test_lift_matches_reference_lift(base):
+    if reference_rejects(base):
+        with pytest.raises(MalformedBaseError):
+            lift(base)
+        return
+    # edges, arcs, out-arc order and labels
+    assert lift(base) == reference_lift(base)

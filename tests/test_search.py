@@ -21,11 +21,16 @@ from mixedgraphs import (
     format_edge_list,
     validate_and_profile,
 )
-from mixedgraphs import search
+from mixedgraphs import MixedGraph, search
 from mixedgraphs.core import _iso_signatures
 from mixedgraphs.errors import MalformedBaseError, UnsupportedParameterError
-from mixedgraphs.search import LiftTemplate, _LiftEvaluator, _totally_regular_candidates
-from test_properties import assert_evaluator_matches_reference, reference_are_isomorphic
+from mixedgraphs.families import LiftBuilder
+from mixedgraphs.search import (
+    LiftTemplate,
+    _general_candidates,
+    _totally_regular_candidates,
+)
+from test_properties import assert_builder_matches_reference, reference_are_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,62 @@ def test_general_mode_small_case():
     for witness in report.witnesses:
         assert diameter(witness) <= 3
         assert bipartition(witness) is not None
+
+
+def reference_general_candidates(n):
+    """Reference: the recursive generator the product-and-filter one
+    replaced.  Recursion depth grows with n; keep n small."""
+    for h0 in range((n + 1) // 2, n):
+        class1 = list(range(h0, n))
+        for matching in reference_partial_matchings(h0, class1):
+            partner = {u: v for u, v in matching}
+            partner.update({v: u for u, v in matching})
+            heads = [None] * n
+
+            def assign(v):
+                if v == n:
+                    arcs = [(u, w) for u, w in enumerate(heads) if w is not None]
+                    yield MixedGraph.build(n, edges=matching, arcs=arcs)
+                    return
+                options = [None]
+                targets = class1 if v < h0 else range(h0)
+                for w in targets:
+                    if partner.get(v) == w:
+                        continue  # parallel to the edge
+                    if w < v and heads[w] == v:
+                        continue  # digon
+                    options.append(w)
+                for choice in options:
+                    heads[v] = choice
+                    yield from assign(v + 1)
+                heads[v] = None
+
+            yield from assign(0)
+
+
+def reference_partial_matchings(h0, class1):
+    free = list(class1)
+
+    def extend(v):
+        if v == h0:
+            yield []
+            return
+        for rest in extend(v + 1):
+            yield rest
+        for idx, w in enumerate(list(free)):
+            del free[idx]
+            for rest in extend(v + 1):
+                yield [(v, w)] + rest
+            free.insert(idx, w)
+
+    yield from extend(0)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_general_candidates_match_the_recursive_reference(n):
+    ours = list(_general_candidates(n))
+    assert ours == list(reference_general_candidates(n))
+    assert len(ours) == {2: 4, 3: 14, 4: 193, 5: 1382}[n]
 
 
 def test_exhaustive_rejects_bad_parameters():
@@ -188,9 +249,9 @@ def test_lift_search_sampled_report_is_pinned():
     ids=[f"four-q{q}" for q in range(1, 5)] + [f"two-q{q}" for q in range(1, 8)],
 )
 def test_lift_evaluator_matches_reference_on_every_assignment(template, q):
-    evaluator = _LiftEvaluator(template, q)
+    builder = LiftBuilder(template.n, template.edge_darts, template.arc_darts)
     for voltages in itertools.product(range(q), repeat=template.dart_count):
-        assert_evaluator_matches_reference(evaluator, template, q, voltages)
+        assert_builder_matches_reference(builder, template, q, voltages)
 
 
 def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
@@ -201,9 +262,10 @@ def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
         return bipartition(g)
 
     monkeypatch.setattr(search, "bipartition", counting_bipartition)
-    # every lift of a bipartite base is bipartite: only the base is coloured
+    # every lift of a bipartite base is bipartite: only the base is
+    # coloured, once for all group orders
     lift_search(6, four_vertex_template(), [3, 4], budget=20000, seed=1)
-    assert coloured == [4, 4]
+    assert coloured == [4]
     coloured.clear()
     # an arc triangle is not bipartite: each well-formed lift is coloured
     triangle = LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0)))
@@ -211,7 +273,7 @@ def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
     assert coloured == [3] + [6] * 8
 
 
-def refuse_evaluation(template, q):
+def refuse_evaluation(builder, q, voltages):
     pytest.fail("a candidate was evaluated before the arguments were checked")
 
 
@@ -227,7 +289,7 @@ def refuse_evaluation(template, q):
     ids=["k0", "q0", "no-vertices", "edge-endpoint", "arc-endpoint"],
 )
 def test_lift_search_checks_arguments_first(monkeypatch, k, template, q_range, error):
-    monkeypatch.setattr(search, "_LiftEvaluator", refuse_evaluation)
+    monkeypatch.setattr(LiftBuilder, "cover", refuse_evaluation)
     with pytest.raises(error):
         lift_search(k, template, q_range, budget=20000, seed=1)
 
