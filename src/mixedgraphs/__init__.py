@@ -36,6 +36,7 @@ from .families import (
     BdmVertex,
     CrmParams,
     Dart,
+    LiftTemplate,
     VoltageBaseGraph,
     arc_first_pattern,
     automorphism_permutation,
@@ -67,7 +68,6 @@ from .metrics import (
     eccentricity_report,
 )
 from .search import (
-    LiftTemplate,
     SearchReport,
     cdrm_scan,
     exhaustive_max_order,

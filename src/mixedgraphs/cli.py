@@ -23,6 +23,7 @@ from .core import (
     verify_automorphism,
 )
 from .errors import MalformedGraphError, MixedGraphError, UnsupportedParameterError
+from .families import BdmVertex, edge_first_pattern, path_endpoint_formula
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -135,8 +136,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _construct_graph(args: argparse.Namespace) -> MixedGraph:
     family = args.family
     if family == "bdm":
-        if args.m is None and args.n is None:
-            raise UnsupportedParameterError("bdm needs --m or --n")
+        _need((args.m is None) != (args.n is None), "bdm needs one of --m and --n")
         if args.m is not None:
             return families.bdm(args.m)
         return families.bdm_canonical(args.n)[1]
@@ -226,8 +226,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for k in range(3, 17):
             bdm_order = ""
             if k % 2 == 0 and k >= 6:
-                n = k // 2
-                bdm_order = str(2 ** (n + 1) + 2 ** (n - 1))
+                bdm_order = str(4 * families.canonical_m(k // 2))
             print(f"{k:>3} {bounds_mod.moore_bipartite(1, 1, k):>6} "
                   f"{bounds_mod.improved_bound(k):>9} {bdm_order:>5}")
     else:
@@ -287,8 +286,6 @@ def _verify_walk_formulas() -> int:
 
 
 def _walk_rows_match(g: MixedGraph, m: int, i: int, steps: int) -> bool:
-    from .families import BdmVertex, edge_first_pattern, path_endpoint_formula
-
     start = BdmVertex(0, i, 1).index(m)
     for j in range(2, steps + 1):
         (endpoint,) = families.walk_pattern(g, start, edge_first_pattern(j))

@@ -278,19 +278,19 @@ def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
     """Representatives up to isomorphism, sorted by canonical edge-list text.
 
     The graphs are taken in order of canonical text, and the first graph of
-    each class becomes its representative.  A strongly connected graph with
-    out-degree at most one everywhere, such as every search witness of
-    finite diameter, has an exact canonical form (:func:`_canonical_form`),
-    and such graphs are classed by it alone.  Every other graph, such as
-    ``bd_digraph`` (out-degree 2) or one that is not strongly connected,
-    gets per-vertex invariant signatures, computed once, and is bucketed by
-    (order, #edges, #arcs, sorted signatures); a backtracking matcher then
-    runs only between graphs sharing a bucket.  The matcher maps vertices
-    only onto vertices of equal signature.  That prunes little when many
-    vertices share one signature, and its worst case is then exponential in
-    the order: ``bd_digraph(20)`` (40 vertices) against random relabellings
-    of itself took from 7 s to over 20 s on a 2-CPU Xeon host with
-    Python 3.11.
+    each class becomes its representative.  A graph with out-degree at most
+    one everywhere in which some vertex reaches every vertex, such as every
+    search witness of finite diameter, has an exact canonical form
+    (:func:`_canonical_form`), and such graphs are classed by it alone.
+    Every other graph, such as ``bd_digraph`` (out-degree 2) or one in which
+    no vertex reaches all the others, gets per-vertex invariant signatures,
+    computed once, and is bucketed by (order, #edges, #arcs, sorted
+    signatures); a backtracking matcher then runs only between graphs
+    sharing a bucket.  The matcher maps vertices only onto vertices of
+    equal signature.  That prunes little when many vertices share one
+    signature, and its worst case is then exponential in the order:
+    ``bd_digraph(20)`` (40 vertices) against random relabellings of itself
+    took from 7 s to over 20 s on a 2-CPU Xeon host with Python 3.11.
     """
     reps: list[MixedGraph] = []
     forms: set[tuple[int, ...]] = set()
@@ -312,8 +312,9 @@ def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
 
 
 def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
-    """An exact canonical form for a strongly connected graph whose vertices
-    each have at most one out-arc, or None for any other graph.
+    """An exact canonical form for a graph whose vertices each have at most
+    one out-arc and in which some vertex reaches every vertex, or None for
+    any other graph.
 
     From a root, a breadth-first walk that takes a vertex's edge partner
     before its out-arc head visits the vertices in an order the root alone
@@ -322,11 +323,13 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
     "Practical graph isomorphism, II", J. Symbolic Comput. 2014).  Vertex i
     in visit order is encoded as its (partner number, head number) pair,
     -1 for none, packed into one int that sorts as the pair does.  The form
-    is the least encoding over all roots; a root's walk stops once its
-    prefix exceeds the least encoding so far.  Two graphs of the domain get
-    equal forms exactly when they are isomorphic.  Strong connectivity, the
-    domain test, is isomorphism-invariant, so isomorphic graphs never take
-    different paths.  O(n^2) time and no recursion.
+    is the least encoding over the roots whose walk numbers all n vertices;
+    a root's walk stops once its prefix exceeds the least encoding so far.
+    Two graphs of the domain get equal forms exactly when they are
+    isomorphic.  Whether some root reaches every vertex is
+    isomorphism-invariant, and a walk is cut short only when its root could
+    not give the least encoding, so isomorphic graphs never take different
+    paths.  O(n^2) time and no recursion.
     """
     n = g.n
     heads: list[Optional[int]] = []
@@ -334,10 +337,6 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
         if len(arcs) > 1:
             return None
         heads.append(arcs[0] if arcs else None)
-    if n == 0 or not (
-        _reaches_all(g.successors()) and _reaches_all(g.predecessors())
-    ):
-        return None
     partner = g.edge_partner
     width = n + 1
     best: list[int] = []
@@ -365,22 +364,9 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
                 tied = entry == least
             code.append(entry)
         else:
-            if not tied:
+            if len(order) == n and not tied:
                 best = code
-    return tuple(best)
-
-
-def _reaches_all(adj: Sequence[Sequence[int]]) -> bool:
-    """True iff every vertex is reachable from vertex 0 along ``adj``."""
-    seen = [False] * len(adj)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    return tuple(best) if best else None
 
 
 def _match(

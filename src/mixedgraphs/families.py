@@ -7,9 +7,12 @@ i modulo m; the fixed integer encoding is
 
     index = 2*m*beta + m*alpha + i
 
-so that exported files are reproducible.  Alongside the constructors live
-the walk-pattern machinery, the endpoint formulas used to certify diameters,
-two named automorphisms, the chordal ring families, and voltage-graph lifts.
+so that exported files are reproducible.  One doubling rule gives the arcs
+of this graph, of its totally regular variant and of the arcs-only digraph
+they contract to.  Alongside the constructors live the walk-pattern
+machinery, the endpoint formulas used to certify diameters, two named
+automorphisms, the chordal ring families, and voltage-graph lifts, each
+made by the ``LiftTemplate`` of its base shape.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal, Optional, Sequence
 
-from .core import MixedGraph
+from .core import MixedGraph, bipartition
 from .errors import (
     MalformedBaseError,
     MalformedGraphError,
@@ -65,20 +68,28 @@ def doubling_parameter(m: int) -> Optional[int]:
     return None
 
 
-def _bdm_vertices(m: int) -> tuple[list[tuple[int, int]], list[str]]:
-    edges, labels = [], [""] * (4 * m)
-    for beta in (0, 1):
-        for alpha in (0, 1):
-            for i in range(m):
-                labels[BdmVertex(alpha, i, beta).index(m)] = BdmVertex(
-                    alpha, i, beta
-                ).label()
-    for alpha in (0, 1):
-        for i in range(m):
-            edges.append(
-                (BdmVertex(alpha, i, 0).index(m), BdmVertex(alpha, i, 1).index(m))
-            )
-    return edges, labels
+def _doubling_head(alpha: int, i: int, t: int, m: int) -> int:
+    """The doubling rule: the index of the head of the arc t in {0, 1} out
+    of (alpha, i), which is 2i + t for alpha = 0 and -2i - 1 - t for
+    alpha = 1, modulo m.  The head lies on the side 1 - alpha."""
+    return (2 * i + t) % m if alpha == 0 else (-2 * i - 1 - t) % m
+
+
+def _doubled(m: int, swap_from: int) -> MixedGraph:
+    """The graph on 4m vertices (alpha, i)_beta with the edges
+    (alpha,i)_0 ~ (alpha,i)_1 and one arc out of each vertex, to
+    (1-alpha, _doubling_head(alpha, i, t, m))_(1-beta) with t = beta for
+    i < swap_from and t = 1 - beta otherwise."""
+    edges, arcs, labels = [], [], []
+    for v in range(4 * m):
+        x = BdmVertex.from_index(v, m)
+        t = x.beta if x.i < swap_from else 1 - x.beta
+        head = BdmVertex(1 - x.alpha, _doubling_head(x.alpha, x.i, t, m), 1 - x.beta)
+        arcs.append((v, head.index(m)))
+        if x.beta == 0:
+            edges.append((v, BdmVertex(x.alpha, x.i, 1).index(m)))
+        labels.append(x.label())
+    return MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
 
 
 def bdm(m: int) -> MixedGraph:
@@ -90,20 +101,7 @@ def bdm(m: int) -> MixedGraph:
     """
     if m < 2:
         raise UnsupportedParameterError(f"modulus must be >= 2, got {m}")
-    edges, labels = _bdm_vertices(m)
-    arcs = []
-    for i in range(m):
-        arcs.append((BdmVertex(0, i, 0).index(m), BdmVertex(1, 2 * i % m, 1).index(m)))
-        arcs.append(
-            (BdmVertex(0, i, 1).index(m), BdmVertex(1, (2 * i + 1) % m, 0).index(m))
-        )
-        arcs.append(
-            (BdmVertex(1, i, 0).index(m), BdmVertex(0, (-2 * i - 1) % m, 1).index(m))
-        )
-        arcs.append(
-            (BdmVertex(1, i, 1).index(m), BdmVertex(0, (-2 * i - 2) % m, 0).index(m))
-        )
-    return MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
+    return _doubled(m, m)
 
 
 def bdm_canonical(n: int) -> tuple[int, MixedGraph]:
@@ -129,19 +127,7 @@ def bdm_star(m: int) -> MixedGraph:
         raise UnsupportedParameterError(
             f"modulus must be 5 * 2^(n-3) with n > 3, got {m}"
         )
-    edges, labels = _bdm_vertices(m)
-    arcs = []
-    half = m // 2
-    for i in range(m):
-        if i < half:
-            heads = (2 * i, 2 * i + 1, -2 * i - 1, -2 * i - 2)
-        else:
-            heads = (2 * i + 1, 2 * i, -2 * i - 2, -2 * i - 1)
-        arcs.append((BdmVertex(0, i, 0).index(m), BdmVertex(1, heads[0] % m, 1).index(m)))
-        arcs.append((BdmVertex(0, i, 1).index(m), BdmVertex(1, heads[1] % m, 0).index(m)))
-        arcs.append((BdmVertex(1, i, 0).index(m), BdmVertex(0, heads[2] % m, 1).index(m)))
-        arcs.append((BdmVertex(1, i, 1).index(m), BdmVertex(0, heads[3] % m, 0).index(m)))
-    g = MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
+    g = _doubled(m, m // 2)
     _assert_star_in_neighbours(g, m)
     return g
 
@@ -175,12 +161,12 @@ def bd_digraph(m: int) -> MixedGraph:
     if m < 2:
         raise UnsupportedParameterError(f"modulus must be >= 2, got {m}")
     labels = [f"({alpha},{i})" for alpha in (0, 1) for i in range(m)]
-    arcs = []
-    for i in range(m):
-        arcs.append((i, m + 2 * i % m))
-        arcs.append((i, m + (2 * i + 1) % m))
-        arcs.append((m + i, (-2 * i - 1) % m))
-        arcs.append((m + i, (-2 * i - 2) % m))
+    arcs = [
+        (alpha * m + i, (1 - alpha) * m + _doubling_head(alpha, i, t, m))
+        for alpha in (0, 1)
+        for i in range(m)
+        for t in (0, 1)
+    ]
     return MixedGraph.build(2 * m, edges=(), arcs=arcs, labels=labels)
 
 
@@ -441,15 +427,17 @@ class VoltageBaseGraph:
                 raise MalformedBaseError(f"voltage {dart.voltage} outside Z_{self.group_order}")
 
 
-class LiftBuilder:
-    """The cover construction for one base shape: n vertices plus edge and
-    arc darts as (tail, head) pairs, with voltages (edge darts' first) given
-    per lift.  Whether a lift is well formed depends only on the shape and
-    on congruences of one or two voltages (Gross and Tucker, Topological
-    Graph Theory), so the rules are derived once, for every group order,
-    and checked before anything is built.  Lift vertex (b, x) gets index
-    b*q + x.  Raises MalformedBaseError for a shape without vertices or
-    with a dart endpoint out of range.
+class LiftTemplate:
+    """A base-graph shape whose dart voltages are left free: n vertices plus
+    edge and arc darts as (tail, head) pairs, with voltages (edge darts'
+    first) given per lift.  Whether a lift is well formed depends only on
+    the shape and on congruences of one or two voltages (Gross and Tucker,
+    Topological Graph Theory), so the rules are derived once, for every
+    group order, and checked before anything is built.  The base is
+    2-coloured once as well: a lift maps closed walks to closed walks of
+    the same length, so every lift of a bipartite base is bipartite.  Lift
+    vertex (b, x) gets index b*q + x.  Raises MalformedBaseError for a
+    shape without vertices or with a dart endpoint out of range.
     """
 
     def __init__(
@@ -460,36 +448,50 @@ class LiftBuilder:
     ) -> None:
         if n < 1:
             raise MalformedBaseError(f"base needs >= 1 vertex, got {n}")
-        for dart in (*edge_darts, *arc_darts):
+        self.n = n
+        self.edge_darts = tuple(map(tuple, edge_darts))
+        self.arc_darts = tuple(map(tuple, arc_darts))
+        heads: list[list[int]] = [[] for _ in range(n)]
+        for dart in (*self.edge_darts, *self.arc_darts):
             if not all(0 <= v < n for v in dart):
                 raise MalformedBaseError(f"dart {dart} has an out-of-range endpoint")
-        self.n = n
-        self.edge_darts = tuple(edge_darts)
-        n_edges = len(edge_darts)
+            heads[dart[0]].append(dart[1])
+        # Colouring ignores direction, so edge darts count as arcs; an arc
+        # loop makes the base non-bipartite.
+        base = MixedGraph(n, (None,) * n, tuple(map(tuple, heads)))
+        self.bipartite = bipartition(base) is not None
+        n_edges = len(self.edge_darts)
         # An edge loop, or two edge darts at one base vertex, gives every
         # lift vertex over it two edges or a loop, whatever the voltages.
-        ends = [v for dart in edge_darts for v in dart]
+        ends = [v for dart in self.edge_darts for v in dart]
         self.always_malformed = len(set(ends)) < len(ends)
         # Every other malformation is (v_i + sign * v_j) % q == 0 for one
         # rule (i, j, sign).  An arc dart paired with itself is a loop: a
         # self-loop or a digon in the lift when twice its voltage is 0.
         self.rules: list[tuple[int, int, int]] = []
-        for a, (u, v) in enumerate(arc_darts):
+        for a, (u, v) in enumerate(self.arc_darts):
             i = n_edges + a
-            for b in range(a, len(arc_darts)):
-                dart = arc_darts[b]
+            for b in range(a, len(self.arc_darts)):
+                dart = self.arc_darts[b]
                 if dart == (v, u):
                     self.rules.append((i, n_edges + b, 1))  # digon
                 if b > a and dart == (u, v):
                     self.rules.append((i, n_edges + b, -1))  # duplicate arc
-            for e, dart in enumerate(edge_darts):
+            for e, dart in enumerate(self.edge_darts):
                 if dart == (u, v):
                     self.rules.append((i, e, -1))  # arc along an edge
                 elif dart == (v, u):
                     self.rules.append((i, e, 1))
         self.arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for a, (tail, head) in enumerate(arc_darts):
+        for a, (tail, head) in enumerate(self.arc_darts):
             self.arcs_from[tail].append((n_edges + a, head))
+
+    def __repr__(self) -> str:
+        return f"LiftTemplate({self.n}, {self.edge_darts}, {self.arc_darts})"
+
+    @property
+    def dart_count(self) -> int:
+        return len(self.edge_darts) + len(self.arc_darts)
 
     def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
         """The unlabelled lift over Z_q, or None when it is not a
@@ -520,7 +522,7 @@ class LiftBuilder:
         )
 
     def labelled(self, g: MixedGraph) -> MixedGraph:
-        """A lift this builder made, with vertex (b, x) labelled "(b,x)"."""
+        """A lift this template made, with vertex (b, x) labelled "(b,x)"."""
         q = g.n // self.n
         labels = tuple(f"({b},{x})" for b in range(self.n) for x in range(q))
         return replace(g, labels=labels)
@@ -542,17 +544,17 @@ def lift(base: VoltageBaseGraph) -> MixedGraph:
     base.validate()
     edges = [d for d in base.darts if d.kind == "edge"]
     arcs = [d for d in base.darts if d.kind == "arc"]
-    builder = LiftBuilder(
+    template = LiftTemplate(
         base.n, [(d.tail, d.head) for d in edges], [(d.tail, d.head) for d in arcs]
     )
-    g = builder.cover(base.group_order, [d.voltage for d in edges + arcs])
+    g = template.cover(base.group_order, [d.voltage for d in edges + arcs])
     if g is None:
         raise MalformedBaseError(
             f"lift over Z_{base.group_order} is not a valid mixed graph: it has a"
             " loop, two edges at a vertex, a repeated arc, a digon or an arc along"
             " an edge"
         )
-    return builder.labelled(g)
+    return template.labelled(g)
 
 
 def bdm5_base() -> VoltageBaseGraph:

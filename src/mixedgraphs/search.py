@@ -8,13 +8,13 @@ prunes the matching's stabilizer without losing isomorphism classes.
 Candidate evaluation is pure, and all reports merge in a deterministic total
 order, so results do not depend on evaluation order.
 
-The lift search makes every lift with ``families.LiftBuilder``, the one
-cover construction ``families.lift`` also uses: it rejects a malformed lift
-from the darts and voltages alone and builds only the well-formed ones.
-Every lift of a base whose underlying graph is bipartite is bipartite, so
-the base is 2-coloured once per template and lifts of other bases are
-2-coloured one by one.  The kept witnesses are the graphs the search built,
-with their vertex labels attached.
+The lift search takes its base shape as a ``families.LiftTemplate``, the
+one cover construction ``families.lift`` also uses: it rejects a malformed
+lift from the darts and voltages alone and builds only the well-formed
+ones.  The template 2-colours its base once; every lift of a bipartite base
+is bipartite, and lifts of other bases are 2-coloured one by one.  The kept
+witnesses are the graphs the search built, with their vertex labels
+attached.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MixedGraph, bipartition, format_edge_list, isomorphism_classes
 from .errors import UnsupportedParameterError
-from .families import CdrmConvention, LiftBuilder, cdrm
+from .families import CdrmConvention, LiftTemplate, cdrm
 from .metrics import diameter
 
 _WITNESS_CAP = 8
@@ -84,11 +84,15 @@ def exhaustive_max_order(
     permutation crossing the bipartition; the general mode (any degrees
     <= 1) is far larger and only sensible for tiny n.  A budget caps the
     number of candidates evaluated; hitting it clears the exhaustive flag.
+    Raises UnsupportedParameterError for k < 1, an odd or too small order
+    cap, or a budget below 1, before any candidate is evaluated.
     """
     if k < 1:
         raise UnsupportedParameterError(f"diameter must be >= 1, got {k}")
     if n_max < 2 or n_max % 2 != 0:
         raise UnsupportedParameterError(f"order cap must be even >= 2, got {n_max}")
+    if budget is not None and budget < 1:
+        raise UnsupportedParameterError(f"budget must be positive, got {budget}")
     start = time.perf_counter()
     candidates = 0
     exhausted_budget = False
@@ -126,19 +130,6 @@ def exhaustive_max_order(
     )
 
 
-@dataclass(frozen=True)
-class LiftTemplate:
-    """A base-graph shape whose dart voltages are left free."""
-
-    n: int
-    edge_darts: tuple[tuple[int, int], ...]
-    arc_darts: tuple[tuple[int, int], ...]
-
-    @property
-    def dart_count(self) -> int:
-        return len(self.edge_darts) + len(self.arc_darts)
-
-
 def two_vertex_template() -> LiftTemplate:
     """One edge plus opposite arcs between two base vertices (order 2q lifts)."""
     return LiftTemplate(n=2, edge_darts=((0, 1),), arc_darts=((0, 1), (1, 0)))
@@ -167,19 +158,16 @@ def lift_search(
     For each distinct group order q, in order of first occurrence in
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
-    counter-based generator keyed by the seed otherwise.  One
-    ``families.LiftBuilder``, compiled for the template, rejects malformed
-    lifts from the voltages alone and builds the rest for their diameter.
-    The base is 2-coloured once: if it is bipartite so is every lift,
-    otherwise each built lift is 2-coloured.  The witnesses kept are the
-    first accepted lifts by canonical text, labelled as ``families.lift``
-    labels them.  Reports are byte-identical across reruns with the same
-    arguments.
+    counter-based generator keyed by the seed otherwise.  The template
+    rejects malformed lifts from the voltages alone and builds the rest for
+    their diameter.  If its base is bipartite so is every lift, otherwise
+    each built lift is 2-coloured.  The witnesses kept are the first
+    accepted lifts by canonical text, labelled as ``families.lift`` labels
+    them.  Reports are byte-identical across reruns with the same arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
-    group order below 1, and MalformedBaseError for a template without
-    vertices or with a dart endpoint out of range, all before any candidate
-    is evaluated.
+    group order below 1, before any candidate is evaluated; the template
+    checked its own shape when it was made.
     """
     if k < 1:
         raise UnsupportedParameterError(f"diameter must be >= 1, got {k}")
@@ -190,8 +178,6 @@ def lift_search(
         if q < 1:
             raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
     orders = list(dict.fromkeys(orders))  # a repeated order is searched once
-    builder = LiftBuilder(template.n, template.edge_darts, template.arc_darts)
-    base_bipartite = _base_is_bipartite(template)
     start = time.perf_counter()
     candidates = 0
     remaining = budget
@@ -219,8 +205,8 @@ def lift_search(
         for voltages in assignments:
             candidates += 1
             remaining -= 1
-            g = builder.cover(q, voltages)
-            if g is None or not (base_bipartite or bipartition(g) is not None):
+            g = template.cover(q, voltages)
+            if g is None or not (template.bipartite or bipartition(g) is not None):
                 continue
             if diameter(g) <= k and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
@@ -234,7 +220,7 @@ def lift_search(
                         continue
                     del kept[worst]
                 kept[text] = g
-    witnesses = isomorphism_classes([builder.labelled(g) for g in kept.values()])
+    witnesses = isomorphism_classes([template.labelled(g) for g in kept.values()])
     return SearchReport(
         kind="lift",
         k=k,
@@ -360,18 +346,6 @@ def _partial_matchings(
 # ---------------------------------------------------------------------------
 # Lift candidates
 # ---------------------------------------------------------------------------
-
-def _base_is_bipartite(template: LiftTemplate) -> bool:
-    """Whether the template's underlying graph, arc loops included, is
-    bipartite; a lift maps closed walks to closed walks of the same length,
-    so then every lift is.  Edge darts count as arcs: colouring ignores
-    direction."""
-    heads: list[list[int]] = [[] for _ in range(template.n)]
-    for tail, head in template.edge_darts + template.arc_darts:
-        heads[tail].append(head)
-    base = MixedGraph(template.n, (None,) * template.n, tuple(map(tuple, heads)))
-    return bipartition(base) is not None
-
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64

@@ -66,6 +66,10 @@ def test_construct_canonical_parameter(capsys):
     assert out.startswith("mixedgraph 40\n")
 
 
+def test_construct_bdm_rejects_both_parameters(capsys):
+    assert_one_line_error(*run_cli(capsys, "construct", "bdm", "--m", "5", "--n", "3"))
+
+
 def test_dot_export_shape():
     g = bdm(5)
     dot = graph_to_dot(g)
@@ -103,6 +107,13 @@ def test_search_lift_command(capsys):
     assert code == 0
     assert "best_order=20" in out
     assert "seed=7" in out
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_exhaustive_bad_budget_is_an_error(capsys, budget):
+    assert_one_line_error(*run_cli(
+        capsys, "search", "exhaustive", "--k", "3", "--n-max", "8", "--budget", budget
+    ))
 
 
 def test_search_exhaustive_general_past_the_recursion_limit(capsys):
@@ -266,7 +277,7 @@ def test_analyze_rejects_json_booleans_as_ids(tmp_path, capsys, payload):
     ids=["k0", "q0"],
 )
 def test_search_lift_bad_arguments_are_errors(monkeypatch, capsys, argv):
-    monkeypatch.setattr(families.LiftBuilder, "cover", refuse_evaluation)
+    monkeypatch.setattr(families.LiftTemplate, "cover", refuse_evaluation)
     assert_one_line_error(*run_cli(
         capsys, "search", "lift", *argv, "--budget", "20000", "--seed", "1"
     ))

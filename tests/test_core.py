@@ -264,8 +264,10 @@ def test_canonical_form_domain():
     assert _canonical_form(MixedGraph.build(1)) == (0,)
     assert _canonical_form(MixedGraph.build(0)) is None
     assert _canonical_form(bd_digraph(600)) is None  # out-degree 2
-    # vertex 0 reaches every vertex, but no vertex reaches 0
-    assert _canonical_form(MixedGraph.build(3, arcs=[(0, 1), (1, 2), (2, 1)])) is None
+    # vertex 0 reaches every vertex, although no vertex reaches 0
+    assert _canonical_form(MixedGraph.build(3, arcs=[(0, 1), (1, 2), (2, 1)])) is not None
+    # 0 and 2 both reach 1, but neither reaches the other
+    assert _canonical_form(MixedGraph.build(3, arcs=[(0, 1), (2, 1)])) is None
 
 
 # ---------------------------------------------------------------------------

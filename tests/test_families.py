@@ -5,6 +5,8 @@ import pytest
 from mixedgraphs import (
     BdmVertex,
     Dart,
+    LiftTemplate,
+    MixedGraph,
     VoltageBaseGraph,
     are_isomorphic,
     bd_digraph,
@@ -157,6 +159,69 @@ def test_bd_smallest_case():
     g = bd_digraph(2)
     assert g.n == 4
     assert all(len(a) == 2 for a in g.out_arcs)
+
+
+# ---------------------------------------------------------------------------
+# the doubling rule against the constructions written out case by case
+# ---------------------------------------------------------------------------
+
+def reference_vertices(m):
+    edges, labels = [], [""] * (4 * m)
+    for beta in (0, 1):
+        for alpha in (0, 1):
+            for i in range(m):
+                labels[BdmVertex(alpha, i, beta).index(m)] = BdmVertex(alpha, i, beta).label()
+    for alpha in (0, 1):
+        for i in range(m):
+            edges.append((BdmVertex(alpha, i, 0).index(m), BdmVertex(alpha, i, 1).index(m)))
+    return edges, labels
+
+
+def reference_bdm(m):
+    edges, labels = reference_vertices(m)
+    arcs = []
+    for i in range(m):
+        arcs.append((BdmVertex(0, i, 0).index(m), BdmVertex(1, 2 * i % m, 1).index(m)))
+        arcs.append((BdmVertex(0, i, 1).index(m), BdmVertex(1, (2 * i + 1) % m, 0).index(m)))
+        arcs.append((BdmVertex(1, i, 0).index(m), BdmVertex(0, (-2 * i - 1) % m, 1).index(m)))
+        arcs.append((BdmVertex(1, i, 1).index(m), BdmVertex(0, (-2 * i - 2) % m, 0).index(m)))
+    return MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
+
+
+def reference_bdm_star(m):
+    edges, labels = reference_vertices(m)
+    arcs = []
+    for i in range(m):
+        if i < m // 2:
+            heads = (2 * i, 2 * i + 1, -2 * i - 1, -2 * i - 2)
+        else:
+            heads = (2 * i + 1, 2 * i, -2 * i - 2, -2 * i - 1)
+        arcs.append((BdmVertex(0, i, 0).index(m), BdmVertex(1, heads[0] % m, 1).index(m)))
+        arcs.append((BdmVertex(0, i, 1).index(m), BdmVertex(1, heads[1] % m, 0).index(m)))
+        arcs.append((BdmVertex(1, i, 0).index(m), BdmVertex(0, heads[2] % m, 1).index(m)))
+        arcs.append((BdmVertex(1, i, 1).index(m), BdmVertex(0, heads[3] % m, 0).index(m)))
+    return MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
+
+
+def reference_bd_digraph(m):
+    labels = [f"({alpha},{i})" for alpha in (0, 1) for i in range(m)]
+    arcs = []
+    for i in range(m):
+        arcs.append((i, m + 2 * i % m))
+        arcs.append((i, m + (2 * i + 1) % m))
+        arcs.append((m + i, (-2 * i - 1) % m))
+        arcs.append((m + i, (-2 * i - 2) % m))
+    return MixedGraph.build(2 * m, edges=(), arcs=arcs, labels=labels)
+
+
+# MixedGraph equality compares n, edge_partner, out_arcs (the order of each
+# vertex's heads included) and labels.
+def test_doubling_rule_matches_the_written_out_constructions():
+    for m in range(2, 65):
+        assert bdm(m) == reference_bdm(m)
+        assert bd_digraph(m) == reference_bd_digraph(m)
+    for m in (10, 20, 40, 80, 160, 320, 640):
+        assert bdm_star(m) == reference_bdm_star(m)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +478,16 @@ def test_lift_rejects_malformed_bases():
     ]:
         with pytest.raises(MalformedBaseError):
             lift(VoltageBaseGraph(n=2, group_order=6, darts=darts))
+
+
+@pytest.mark.parametrize(
+    "n, edge_darts, arc_darts",
+    [(0, (), ()), (2, ((0, 2),), ()), (2, (), ((0, 1), (-1, 0)))],
+    ids=["no-vertices", "edge-endpoint", "arc-endpoint"],
+)
+def test_lift_template_checks_its_shape(n, edge_darts, arc_darts):
+    with pytest.raises(MalformedBaseError):
+        LiftTemplate(n, edge_darts, arc_darts)
 
 
 # ---------------------------------------------------------------------------

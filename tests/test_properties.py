@@ -28,13 +28,9 @@ from mixedgraphs import (
 )
 from mixedgraphs.core import _canonical_form, _iso_signatures
 from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
-from mixedgraphs.families import Dart, LiftBuilder, VoltageBaseGraph
+from mixedgraphs.families import Dart, LiftTemplate, VoltageBaseGraph
 from mixedgraphs.metrics import UNREACHABLE
-from mixedgraphs.search import (
-    LiftTemplate,
-    _base_is_bipartite,
-    _totally_regular_candidates,
-)
+from mixedgraphs.search import _totally_regular_candidates
 
 
 @st.composite
@@ -284,15 +280,14 @@ def test_matcher_agrees_with_recursive_reference(g, h, rng):
 
 
 # ---------------------------------------------------------------------------
-# The canonical form of strongly connected unit out-degree graphs
+# The canonical form of unit out-degree graphs with a vertex reaching all
 # ---------------------------------------------------------------------------
 
 def in_form_domain(g: MixedGraph) -> bool:
-    """Strongly connected, with at most one out-arc at every vertex."""
-    return (
-        g.n > 0
-        and all(len(heads) <= 1 for heads in g.out_arcs)
-        and diameter(g) != INFINITE
+    """At most one out-arc at every vertex, and some vertex from which every
+    vertex is reachable."""
+    return all(len(heads) <= 1 for heads in g.out_arcs) and any(
+        UNREACHABLE not in distances_from(g, v) for v in range(g.n)
     )
 
 
@@ -321,8 +316,9 @@ def permutation_graphs(draw) -> MixedGraph:
 @st.composite
 def strongly_connected_graphs(draw) -> MixedGraph:
     """Graphs of the form's domain, which mixed_graphs() seldom draws:
-    relabelled search candidates, or permutation graphs that are strongly
-    connected."""
+    relabelled search candidates, or permutation graphs in the domain.
+    Both are strongly connected; every arc of a permutation graph lies on a
+    directed cycle."""
     g = draw(st.one_of(
         st.sampled_from(REGULAR_WITNESSES),
         permutation_graphs().filter(in_form_domain),
@@ -356,12 +352,13 @@ def test_reaching_root_without_strong_connectivity_takes_one_path():
     # 1 -> 2 -> 3 -> 4 -> 2, but no vertex of the cycle reaches 0 or 1
     g = MixedGraph.build(5, edges=[(0, 1)], arcs=[(1, 2), (2, 3), (3, 4), (4, 2)])
     relabellings = [g.relabelled(perm) for perm in itertools.permutations(range(5))]
-    assert all(_canonical_form(h) is None for h in relabellings)
+    forms = {_canonical_form(h) for h in relabellings}
+    assert len(forms) == 1 and None not in forms
     assert isomorphism_classes(relabellings) == [min(relabellings, key=format_edge_list)]
 
 
 # ---------------------------------------------------------------------------
-# Lifts from the builder against building and checking the lift
+# Lifts from the template against building and checking the lift
 # ---------------------------------------------------------------------------
 
 def reference_lift(base: VoltageBaseGraph) -> MixedGraph:
@@ -405,12 +402,12 @@ def reference_lift_candidate(template: LiftTemplate, q: int, voltages):
     return g, diameter(g)
 
 
-def assert_builder_matches_reference(builder, template, q, voltages) -> None:
-    """The builder's lift, kept by ``lift_search`` only when the base or
+def assert_template_matches_reference(template, q, voltages) -> None:
+    """The template's lift, kept by ``lift_search`` only when the base or
     the lift is bipartite, against the reference."""
     expected = reference_lift_candidate(template, q, voltages)
-    g = builder.cover(q, voltages)
-    if g is not None and not _base_is_bipartite(template) and bipartition(g) is None:
+    g = template.cover(q, voltages)
+    if g is not None and not template.bipartite and bipartition(g) is None:
         g = None
     assert (g is None) == (expected is None), (template, q, voltages)
     if g is not None:
@@ -450,9 +447,7 @@ def lift_candidates(draw):
 @settings(max_examples=500)
 @given(lift_candidates())
 def test_lift_evaluator_matches_reference(candidate):
-    template, q, voltages = candidate
-    builder = LiftBuilder(template.n, template.edge_darts, template.arc_darts)
-    assert_builder_matches_reference(builder, template, q, voltages)
+    assert_template_matches_reference(*candidate)
 
 
 @st.composite
