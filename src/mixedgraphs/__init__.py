@@ -35,9 +35,7 @@ from .errors import (
 from .families import (
     BdmVertex,
     CrmParams,
-    Dart,
     LiftTemplate,
-    VoltageBaseGraph,
     arc_first_pattern,
     automorphism_permutation,
     bd_digraph,
@@ -52,9 +50,11 @@ from .families import (
     double_arc_pattern,
     doubling_parameter,
     edge_first_pattern,
+    four_vertex_template,
     lift,
     named_automorphism,
     path_endpoint_formula,
+    two_vertex_template,
     walk_pattern,
 )
 from .metrics import (
@@ -71,9 +71,7 @@ from .search import (
     SearchReport,
     cdrm_scan,
     exhaustive_max_order,
-    four_vertex_template,
     lift_search,
-    two_vertex_template,
 )
 from .spectral import (
     PolynomialMatrix,

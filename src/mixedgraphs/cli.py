@@ -51,14 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("construct", help="build a family graph and export it")
-    p.add_argument(
-        "family", choices=["bdm", "bdm-star", "bd", "crm", "cdrm", "lift"]
-    )
+    p.add_argument("family", choices=list(_CONSTRUCT_OPTIONS))
     p.add_argument("--m", type=int, help="modulus / ring length")
     p.add_argument("--n", type=int, help="doubling parameter or ring length")
     p.add_argument("--c", type=int, help="chord length")
-    p.add_argument("--convention", choices=["shift", "reflect"], default="shift")
-    p.add_argument("--base", choices=["bdm5"], default="bdm5")
+    p.add_argument("--convention", choices=["shift", "reflect"],
+                   help="cdrm chord attachment (default shift)")
     p.add_argument("--format", choices=["edges", "dot", "json"], default="edges")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(handler=_cmd_construct)
@@ -133,8 +131,19 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+# the options each construct family takes; giving it another is an error
+_CONSTRUCT_OPTIONS = {
+    "bdm": ("m", "n"), "bdm-star": ("m",), "bd": ("m",), "crm": ("n", "c"),
+    "cdrm": ("m", "c", "convention"), "lift": (),
+}
+
+
 def _construct_graph(args: argparse.Namespace) -> MixedGraph:
     family = args.family
+    for option in ("m", "n", "c", "convention"):
+        given = getattr(args, option) is not None
+        _need(not given or option in _CONSTRUCT_OPTIONS[family],
+              f"{family} does not take --{option}")
     if family == "bdm":
         _need((args.m is None) != (args.n is None), "bdm needs one of --m and --n")
         if args.m is not None:
@@ -151,10 +160,8 @@ def _construct_graph(args: argparse.Namespace) -> MixedGraph:
         return families.crm(args.n, args.c)
     if family == "cdrm":
         _need(args.m is not None and args.c is not None, "cdrm needs --m and --c")
-        return families.cdrm(args.m, args.c, args.convention)
-    if family == "lift":
-        return families.lift(families.bdm5_base())
-    raise UnsupportedParameterError(f"unknown family {family!r}")
+        return families.cdrm(args.m, args.c, args.convention or "shift")
+    return families.lift(*families.bdm5_base())
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -193,9 +200,9 @@ def _cmd_search_exhaustive(args: argparse.Namespace) -> int:
 
 def _cmd_search_lift(args: argparse.Namespace) -> int:
     template = (
-        search_mod.two_vertex_template()
+        families.two_vertex_template()
         if args.template == 2
-        else search_mod.four_vertex_template()
+        else families.four_vertex_template()
     )
     report = search_mod.lift_search(
         args.k, template, args.q, budget=args.budget, seed=args.seed

@@ -400,8 +400,6 @@ def _match(
             if used[u]:
                 continue
             pu = h.edge_partner[u]
-            if (pv is None) != (pu is None):
-                continue
             if pv is not None and pv in mapping and mapping[pv] != pu:
                 continue
             out_v, out_u = g_out[v], h_out[u]

@@ -11,8 +11,10 @@ so that exported files are reproducible.  One doubling rule gives the arcs
 of this graph, of its totally regular variant and of the arcs-only digraph
 they contract to.  Alongside the constructors live the walk-pattern
 machinery, the endpoint formulas used to certify diameters, two named
-automorphisms, the chordal ring families, and voltage-graph lifts, each
-made by the ``LiftTemplate`` of its base shape.
+automorphisms, the chordal ring families, and voltage-graph lifts.  A
+voltage graph is the triple (template, q, voltages): a ``LiftTemplate``
+giving the base shape, the order q of the cyclic group Z_q, and one voltage
+per dart, edge darts first (Gross and Tucker, Topological Graph Theory).
 """
 
 from __future__ import annotations
@@ -388,45 +390,6 @@ def cdrm(m: int, c: int, convention: CdrmConvention = "shift") -> MixedGraph:
 # Voltage-graph lifts
 # ---------------------------------------------------------------------------
 
-DartKind = Literal["edge", "arc"]
-
-
-@dataclass(frozen=True)
-class Dart:
-    """One adjacency of a base graph, carrying a voltage in Z_q.
-
-    Edge darts are stored once with an orientation; traversing an edge dart
-    backwards negates its voltage.
-    """
-
-    tail: int
-    head: int
-    voltage: int
-    kind: DartKind
-
-
-@dataclass(frozen=True)
-class VoltageBaseGraph:
-    """A small base graph with dart voltages in a cyclic group Z_q."""
-
-    n: int
-    group_order: int
-    darts: tuple[Dart, ...]
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise MalformedBaseError(f"base needs >= 1 vertex, got {self.n}")
-        if self.group_order < 1:
-            raise MalformedBaseError(f"group order must be >= 1, got {self.group_order}")
-        for dart in self.darts:
-            if not (0 <= dart.tail < self.n and 0 <= dart.head < self.n):
-                raise MalformedBaseError(f"dart {dart} has an out-of-range endpoint")
-            if dart.kind not in ("edge", "arc"):
-                raise MalformedBaseError(f"dart kind must be edge or arc, got {dart.kind!r}")
-            if not 0 <= dart.voltage < self.group_order:
-                raise MalformedBaseError(f"voltage {dart.voltage} outside Z_{self.group_order}")
-
-
 class LiftTemplate:
     """A base-graph shape whose dart voltages are left free: n vertices plus
     edge and arc darts as (tail, head) pairs, with voltages (edge darts'
@@ -493,6 +456,19 @@ class LiftTemplate:
     def dart_count(self) -> int:
         return len(self.edge_darts) + len(self.arc_darts)
 
+    def check_voltages(self, q: int, voltages: Sequence[int]) -> None:
+        """Raise MalformedBaseError unless q >= 1 and voltages holds one
+        element of 0..q-1 per dart, edge darts first."""
+        if q < 1:
+            raise MalformedBaseError(f"group order must be >= 1, got {q}")
+        if len(voltages) != self.dart_count:
+            raise MalformedBaseError(
+                f"{self!r} takes {self.dart_count} voltages, got {len(voltages)}"
+            )
+        for voltage in voltages:
+            if not 0 <= voltage < q:
+                raise MalformedBaseError(f"voltage {voltage} outside Z_{q}")
+
     def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
         """The unlabelled lift over Z_q, or None when it is not a
         well-formed mixed graph.  Voltages are taken modulo q."""
@@ -528,46 +504,46 @@ class LiftTemplate:
         return replace(g, labels=labels)
 
 
-def lift(base: VoltageBaseGraph) -> MixedGraph:
-    """The covering graph of a voltage base over its cyclic group.
+def two_vertex_template() -> LiftTemplate:
+    """One edge plus opposite arcs between two base vertices (order 2q lifts)."""
+    return LiftTemplate(n=2, edge_darts=((0, 1),), arc_darts=((0, 1), (1, 0)))
+
+
+def four_vertex_template() -> LiftTemplate:
+    """Two edges and a four-arc circuit on four base vertices (order 4q lifts);
+    with q = 5 the assignment realizing bdm(5) lies in this space."""
+    return LiftTemplate(
+        n=4,
+        edge_darts=((0, 1), (2, 3)),
+        arc_darts=((0, 3), (3, 0), (1, 2), (2, 1)),
+    )
+
+
+def lift(template: LiftTemplate, q: int, voltages: Sequence[int]) -> MixedGraph:
+    """The covering graph of the voltage graph (template, q, voltages).
 
     Vertex (b, x) gets index b*q + x and the label "(b,x)".  An edge dart
-    (u, v, g) produces the edges {(u,x), (v,x+g)} for every x; an arc dart
-    produces the arcs (u,x) -> (v,x+g).  The order is n*q.
+    (u, v) with voltage g produces the edges {(u,x), (v,x+g)} for every x;
+    an arc dart produces the arcs (u,x) -> (v,x+g).  The order is n*q.
 
-    Raises MalformedBaseError when the base fails ``validate`` and for
-    every lift that ``validate_and_profile`` would reject: one with a loop,
-    two edges at a vertex, a repeated edge or arc, a digon (opposite arc
-    darts whose voltages sum to 0, or an arc loop with 2g = 0) or an arc
-    along an edge.
+    Raises MalformedBaseError unless ``template.check_voltages`` accepts
+    (q, voltages), and for every lift that ``validate_and_profile`` would
+    reject: one with a loop, two edges at a vertex, a repeated edge or arc,
+    a digon (opposite arc darts whose voltages sum to 0, or an arc loop with
+    2g = 0) or an arc along an edge.
     """
-    base.validate()
-    edges = [d for d in base.darts if d.kind == "edge"]
-    arcs = [d for d in base.darts if d.kind == "arc"]
-    template = LiftTemplate(
-        base.n, [(d.tail, d.head) for d in edges], [(d.tail, d.head) for d in arcs]
-    )
-    g = template.cover(base.group_order, [d.voltage for d in edges + arcs])
+    template.check_voltages(q, voltages)
+    g = template.cover(q, voltages)
     if g is None:
         raise MalformedBaseError(
-            f"lift over Z_{base.group_order} is not a valid mixed graph: it has a"
-            " loop, two edges at a vertex, a repeated arc, a digon or an arc along"
-            " an edge"
+            f"lift over Z_{q} is not a valid mixed graph: it has a loop, two"
+            " edges at a vertex, a repeated arc, a digon or an arc along an edge"
         )
     return template.labelled(g)
 
 
-def bdm5_base() -> VoltageBaseGraph:
-    """The four-vertex base over Z_5 whose lift is isomorphic to bdm(5)."""
-    return VoltageBaseGraph(
-        n=4,
-        group_order=5,
-        darts=(
-            Dart(0, 1, 0, "edge"),
-            Dart(2, 3, 0, "edge"),
-            Dart(0, 3, 2, "arc"),
-            Dart(3, 0, 1, "arc"),
-            Dart(1, 2, 0, "arc"),
-            Dart(2, 1, 2, "arc"),
-        ),
-    )
+def bdm5_base() -> tuple[LiftTemplate, int, tuple[int, ...]]:
+    """The voltage graph (template, q, voltages) over Z_5 whose lift is
+    isomorphic to bdm(5): the four-vertex template with edge voltages 0, 0
+    and arc voltages 2, 1, 0, 2."""
+    return four_vertex_template(), 5, (0, 0, 2, 1, 0, 2)

@@ -9,12 +9,13 @@ Candidate evaluation is pure, and all reports merge in a deterministic total
 order, so results do not depend on evaluation order.
 
 The lift search takes its base shape as a ``families.LiftTemplate``, the
-one cover construction ``families.lift`` also uses: it rejects a malformed
-lift from the darts and voltages alone and builds only the well-formed
-ones.  The template 2-colours its base once; every lift of a bipartite base
-is bipartite, and lifts of other bases are 2-coloured one by one.  The kept
-witnesses are the graphs the search built, with their vertex labels
-attached.
+one description of a base graph: with a group order q and voltages it is
+the voltage graph (template, q, voltages) that ``families.lift`` takes.
+The search rejects a malformed lift from the darts and voltages alone and
+builds only the well-formed ones.  The template 2-colours its base once;
+every lift of a bipartite base is bipartite, and lifts of other bases are
+2-coloured one by one.  The kept witnesses are the graphs the search built,
+with their vertex labels attached.
 """
 
 from __future__ import annotations
@@ -127,21 +128,6 @@ def exhaustive_max_order(
         witnesses=tuple(witnesses),
         candidates=candidates,
         wall_time=time.perf_counter() - start,
-    )
-
-
-def two_vertex_template() -> LiftTemplate:
-    """One edge plus opposite arcs between two base vertices (order 2q lifts)."""
-    return LiftTemplate(n=2, edge_darts=((0, 1),), arc_darts=((0, 1), (1, 0)))
-
-
-def four_vertex_template() -> LiftTemplate:
-    """Two edges and a four-arc circuit on four base vertices (order 4q lifts);
-    with q = 5 the assignment realizing bdm(5) lies in this space."""
-    return LiftTemplate(
-        n=4,
-        edge_darts=((0, 1), (2, 3)),
-        arc_darts=((0, 3), (3, 0), (1, 2), (2, 1)),
     )
 
 
@@ -265,10 +251,38 @@ def _totally_regular_candidates(n: int) -> Iterator[MixedGraph]:
     cycle type.  Every isomorphism class appears at least once."""
     h = n // 2
     for p in _derangement_type_representatives(h):
-        for q in itertools.permutations(range(h)):
-            if any(q[j] == j or q[p[j]] == j for j in range(h)):
-                continue
+        for q in _class1_permutations(p):
             yield _matching_graph(h, p, q)
+
+
+def _class1_permutations(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The permutations q of 0..h-1 with q[i] != i (an arc along an edge)
+    and q[i] != p^-1(i) (a digon with a class-0 arc) for every i, in
+    lexicographic order, by a backtracking that never places a forbidden
+    value.  With at most two values forbidden per position, a partial q
+    with four or more positions left always completes (Hall's theorem), so
+    dead ends lie in the last three positions."""
+    h = len(p)
+    p_inv = sorted(range(h), key=p.__getitem__)
+    q = [-1] * h
+    used = [False] * h
+    i = 0
+    while i >= 0:
+        if q[i] >= 0:
+            used[q[i]] = False
+        v = q[i] + 1
+        while v < h and (used[v] or v == i or v == p_inv[i]):
+            v += 1
+        if v == h:
+            q[i] = -1
+            i -= 1
+            continue
+        q[i] = v
+        used[v] = True
+        if i == h - 1:
+            yield tuple(q)
+        else:
+            i += 1
 
 
 def _matching_graph(h: int, p: Sequence[int], q: Sequence[int]) -> MixedGraph:
@@ -278,10 +292,10 @@ def _matching_graph(h: int, p: Sequence[int], q: Sequence[int]) -> MixedGraph:
     return MixedGraph.build(2 * h, edges=edges, arcs=arcs)
 
 
-def _derangement_type_representatives(h: int) -> list[tuple[int, ...]]:
-    """One canonical permutation of 0..h-1 per cycle type without fixed
-    points: cycles laid out as consecutive blocks in decreasing length."""
-    reps: list[tuple[int, ...]] = []
+def _derangement_type_representatives(h: int) -> Iterator[tuple[int, ...]]:
+    """Yield one canonical permutation of 0..h-1 per cycle type without
+    fixed points: cycles laid out as consecutive blocks in decreasing
+    length."""
 
     def partitions(remaining: int, largest: int) -> Iterator[list[int]]:
         if remaining == 0:
@@ -300,8 +314,7 @@ def _derangement_type_representatives(h: int) -> list[tuple[int, ...]]:
             for offset in range(length):
                 perm[base + offset] = base + (offset + 1) % length
             base += length
-        reps.append(tuple(perm))
-    return reps
+        yield tuple(perm)
 
 
 def _general_candidates(n: int) -> Iterator[MixedGraph]:

@@ -1,8 +1,9 @@
 """Voltage polynomial matrices and the spectra of their lifts.
 
-The polynomial matrix of a voltage base graph collects, for every ordered
-vertex pair, the sum of z^voltage over connecting darts (edge darts count in
-both directions, with the reverse voltage negated).  Evaluating it at the
+The polynomial matrix of a voltage graph (template, q, voltages), the
+triple ``families.lift`` takes, collects for every ordered vertex pair the
+sum of z^voltage over connecting darts (edge darts count in both
+directions, with the reverse voltage negated).  Evaluating it at the
 q-th roots of unity and pooling the eigenvalues gives the spectrum of the
 lifted graph's associated digraph.
 
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import NoConvergenceError, UnsupportedParameterError
-from .families import VoltageBaseGraph, bdm5_base
+from .families import LiftTemplate, bdm5_base
 
 _MAX_ITERATIONS = 500
 _STEP_TOLERANCE = 1e-14
@@ -43,24 +45,29 @@ class PolynomialMatrix:
         return dict(self.entries[i][j])
 
 
-def polynomial_matrix(base: VoltageBaseGraph) -> PolynomialMatrix:
-    """The voltage polynomial matrix of a base graph."""
-    base.validate()
-    q = base.group_order
+def polynomial_matrix(
+    template: LiftTemplate, q: int, voltages: Sequence[int]
+) -> PolynomialMatrix:
+    """The voltage polynomial matrix of the voltage graph (template, q,
+    voltages).  Raises MalformedBaseError unless
+    ``template.check_voltages`` accepts (q, voltages)."""
+    template.check_voltages(q, voltages)
     cells: list[list[dict[int, int]]] = [
-        [dict() for _ in range(base.n)] for _ in range(base.n)
+        [dict() for _ in range(template.n)] for _ in range(template.n)
     ]
 
     def add(i: int, j: int, power: int) -> None:
         power %= q
         cells[i][j][power] = cells[i][j].get(power, 0) + 1
 
-    for dart in base.darts:
-        add(dart.tail, dart.head, dart.voltage)
-        if dart.kind == "edge":
-            add(dart.head, dart.tail, -dart.voltage)
+    n_edges = len(template.edge_darts)
+    for (tail, head), voltage in zip(template.edge_darts, voltages):
+        add(tail, head, voltage)
+        add(head, tail, -voltage)
+    for (tail, head), voltage in zip(template.arc_darts, voltages[n_edges:]):
+        add(tail, head, voltage)
     return PolynomialMatrix(
-        size=base.n,
+        size=template.n,
         group_order=q,
         entries=tuple(
             tuple(tuple(sorted(cell.items())) for cell in row) for row in cells
@@ -71,7 +78,7 @@ def polynomial_matrix(base: VoltageBaseGraph) -> PolynomialMatrix:
 def bdm5_polynomial_matrix() -> PolynomialMatrix:
     """Polynomial matrix of the four-vertex base over Z_5 (rows
     [0,1,0,z^2], [1,0,1,0], [0,z^2,0,1], [z,0,1,0])."""
-    return polynomial_matrix(bdm5_base())
+    return polynomial_matrix(*bdm5_base())
 
 
 def evaluate_at_root(pm: PolynomialMatrix, r: int) -> ComplexMatrix:

@@ -70,6 +70,46 @@ def test_construct_bdm_rejects_both_parameters(capsys):
     assert_one_line_error(*run_cli(capsys, "construct", "bdm", "--m", "5", "--n", "3"))
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        ("bd --m 4 --n 3", "--n"),
+        ("bdm-star --m 20 --n 3", "--n"),
+        ("crm --n 8 --c 3 --m 5", "--m"),
+        ("cdrm --m 4 --c 1 --n 9", "--n"),
+        ("lift --m 3", "--m"),
+        ("crm --n 8 --c 3 --convention reflect", "--convention"),
+    ],
+)
+def test_construct_rejects_options_its_family_does_not_take(capsys, argv, option):
+    family = argv.split()[0]
+    code, out, err = run_cli(capsys, "construct", *argv.split())
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {family} does not take {option}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, graph, render",
+    [
+        (["bdm-star", "--m", "20"], lambda: families.bdm_star(20), format_edge_list),
+        (["cdrm", "--m", "10", "--c", "3", "--convention", "reflect"],
+         lambda: families.cdrm(10, 3, "reflect"), format_edge_list),
+        (["cdrm", "--m", "10", "--c", "3"],
+         lambda: families.cdrm(10, 3, "shift"), format_edge_list),
+        (["lift"], lambda: families.lift(*families.bdm5_base()), format_edge_list),
+        (["lift", "--format", "json"],
+         lambda: families.lift(*families.bdm5_base()), graph_to_json),
+        (["bd", "--m", "4", "--format", "dot"],
+         lambda: families.bd_digraph(4), graph_to_dot),
+    ],
+    ids=["bdm-star", "cdrm-reflect", "cdrm-default", "lift", "lift-json", "bd-dot"],
+)
+def test_construct_prints_the_library_rendering(capsys, argv, graph, render):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert (code, err) == (0, "")
+    assert out == render(graph())
+
+
 def test_dot_export_shape():
     g = bdm(5)
     dot = graph_to_dot(g)

@@ -4,10 +4,8 @@ import pytest
 
 from mixedgraphs import (
     BdmVertex,
-    Dart,
     LiftTemplate,
     MixedGraph,
-    VoltageBaseGraph,
     are_isomorphic,
     bd_digraph,
     bdm,
@@ -21,6 +19,7 @@ from mixedgraphs import (
     crm,
     crm_optimal,
     diameter,
+    four_vertex_template,
     lift,
     named_automorphism,
     path_endpoint_formula,
@@ -432,52 +431,57 @@ def test_cdrm_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 
 def test_lift_of_the_four_vertex_base():
-    g = lift(bdm5_base())
+    g = lift(*bdm5_base())
     assert g.n == 20
     assert diameter(g) == 6
     assert are_isomorphic(g, bdm(5))
 
 
+def test_bdm5_base_is_the_four_vertex_template():
+    template, q, voltages = bdm5_base()
+    assert repr(template) == repr(four_vertex_template())
+    assert (q, voltages) == (5, (0, 0, 2, 1, 0, 2))
+
+
 def test_lift_with_trivial_group_is_the_base():
-    base = VoltageBaseGraph(
-        n=3,
-        group_order=1,
-        darts=(Dart(0, 1, 0, "edge"), Dart(1, 2, 0, "arc"), Dart(2, 0, 0, "arc")),
-    )
-    g = lift(base)
+    g = lift(LiftTemplate(3, ((0, 1),), ((1, 2), (2, 0))), 1, (0, 0, 0))
     assert g.n == 3
     assert g.edges() == [(0, 1)]
     assert g.arcs() == [(1, 2), (2, 0)]
 
 
 def test_lift_of_a_loop_is_a_directed_cycle():
-    base = VoltageBaseGraph(n=1, group_order=6, darts=(Dart(0, 0, 1, "arc"),))
-    g = lift(base)
+    g = lift(LiftTemplate(1, (), ((0, 0),)), 6, (1,))
     assert g.n == 6
     assert diameter(g) == 5
     assert g.arcs() == [(i, (i + 1) % 6) for i in range(6)]
 
 
 def test_lift_rejects_malformed_bases():
+    arc = LiftTemplate(2, (), ((0, 1),))
     with pytest.raises(MalformedBaseError):
-        lift(VoltageBaseGraph(n=2, group_order=0, darts=()))
+        lift(LiftTemplate(2, (), ()), 0, ())
     with pytest.raises(MalformedBaseError):
-        lift(VoltageBaseGraph(n=2, group_order=3, darts=(Dart(0, 2, 0, "arc"),)))
+        lift(arc, 3, (5,))
     with pytest.raises(MalformedBaseError):
-        lift(VoltageBaseGraph(n=2, group_order=3, darts=(Dart(0, 1, 5, "arc"),)))
+        lift(arc, 3, (-1,))
+    # one voltage per dart, no more and no fewer
+    for voltages in [(), (1, 1)]:
+        with pytest.raises(MalformedBaseError):
+            lift(arc, 3, voltages)
     # an arc loop with zero voltage would lift to self-loops
     with pytest.raises(MalformedBaseError):
-        lift(VoltageBaseGraph(n=1, group_order=3, darts=(Dart(0, 0, 0, "arc"),)))
+        lift(LiftTemplate(1, (), ((0, 0),)), 3, (0,))
     # what validate_and_profile rejects: a digon, an arc loop with 2g = 0,
     # an arc along an edge and one against it
-    for darts in [
-        (Dart(0, 1, 1, "arc"), Dart(1, 0, 5, "arc")),
-        (Dart(0, 0, 3, "arc"),),
-        (Dart(0, 1, 1, "edge"), Dart(0, 1, 1, "arc")),
-        (Dart(0, 1, 1, "edge"), Dart(1, 0, 5, "arc")),
+    for template, voltages in [
+        (LiftTemplate(2, (), ((0, 1), (1, 0))), (1, 5)),
+        (LiftTemplate(2, (), ((0, 0),)), (3,)),
+        (LiftTemplate(2, ((0, 1),), ((0, 1),)), (1, 1)),
+        (LiftTemplate(2, ((0, 1),), ((1, 0),)), (1, 5)),
     ]:
         with pytest.raises(MalformedBaseError):
-            lift(VoltageBaseGraph(n=2, group_order=6, darts=darts))
+            lift(template, 6, voltages)
 
 
 @pytest.mark.parametrize(

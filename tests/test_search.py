@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,12 @@ from mixedgraphs import (
 from mixedgraphs import LiftTemplate, MixedGraph, families, search
 from mixedgraphs.core import _iso_signatures
 from mixedgraphs.errors import UnsupportedParameterError
-from mixedgraphs.search import _general_candidates, _totally_regular_candidates
+from mixedgraphs.search import (
+    _class1_permutations,
+    _derangement_type_representatives,
+    _general_candidates,
+    _totally_regular_candidates,
+)
 from test_properties import assert_template_matches_reference, reference_are_isomorphic
 
 
@@ -132,6 +138,32 @@ def test_general_candidates_match_the_recursive_reference(n):
     ours = list(_general_candidates(n))
     assert ours == list(reference_general_candidates(n))
     assert len(ours) == {2: 4, 3: 14, 4: 193, 5: 1382}[n]
+
+
+def reference_class1_permutations(p):
+    """Reference: every permutation of 0..h-1 in lexicographic order,
+    filtered for an arc along an edge or a digon with a class-0 arc."""
+    h = len(p)
+    return [
+        q for q in itertools.permutations(range(h))
+        if not any(q[j] == j or q[p[j]] == j for j in range(h))
+    ]
+
+
+@pytest.mark.parametrize("h", range(2, 9))
+def test_class1_permutations_match_the_filtered_reference(h):
+    types = list(_derangement_type_representatives(h))
+    assert len(types) == {2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 4, 8: 7}[h]
+    for p in types:
+        assert list(_class1_permutations(p)) == reference_class1_permutations(p)
+
+
+def test_exhaustive_budget_bounds_the_work_at_a_large_order():
+    start = time.perf_counter()
+    report = exhaustive_max_order(4, 60, budget=10)
+    assert report.candidates == 10 and not report.exhaustive
+    # the unpruned generator walked 29! permutations before the first one
+    assert time.perf_counter() - start < 10
 
 
 def test_exhaustive_rejects_bad_parameters(monkeypatch):

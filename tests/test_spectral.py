@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from mixedgraphs import (
+    LiftTemplate,
     bdm,
     bdm5_polynomial_matrix,
     char_poly_eigenvalues,
     evaluate_at_root,
+    four_vertex_template,
     lift_spectrum,
+    polynomial_matrix,
 )
-from mixedgraphs.errors import UnsupportedParameterError
+from mixedgraphs.errors import MalformedBaseError, UnsupportedParameterError
 
 # Printed reference values for the root evaluations (4 decimals).
 REFERENCE_ROWS = {
@@ -143,11 +146,17 @@ def test_spectrum_symmetric_under_negation():
 
 def test_degenerate_single_copy_spectrum():
     # all voltages zero over the trivial group: spectrum of the base itself
-    from mixedgraphs.families import Dart, VoltageBaseGraph
-    from mixedgraphs.spectral import polynomial_matrix
-
-    base = VoltageBaseGraph(
-        n=2, group_order=1, darts=(Dart(0, 1, 0, "arc"), Dart(1, 0, 0, "arc"))
-    )
-    values = lift_spectrum(polynomial_matrix(base))
+    template = LiftTemplate(2, (), ((0, 1), (1, 0)))
+    values = lift_spectrum(polynomial_matrix(template, 1, (0, 0)))
     match_multisets(values, [-1, 1], 1e-9)
+
+
+@pytest.mark.parametrize(
+    "q, voltages",
+    [(0, (0, 0, 0, 0, 0, 0)), (5, (0, 0, 2, 1, 0, 5)), (5, (0, 0, 2, 1, 0, -1)),
+     (5, (0, 0, 2, 1, 0)), (5, (0, 0, 2, 1, 0, 2, 0))],
+    ids=["q0", "voltage-q", "voltage-negative", "too-few", "too-many"],
+)
+def test_polynomial_matrix_rejects_malformed_voltages(q, voltages):
+    with pytest.raises(MalformedBaseError):
+        polynomial_matrix(four_vertex_template(), q, voltages)
