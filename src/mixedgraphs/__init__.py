@@ -45,8 +45,10 @@ from .families import (
     bdm_star,
     canonical_m,
     cdrm,
+    cdrm_voltage_graph,
     crm,
     crm_optimal,
+    crm_voltage_graph,
     double_arc_pattern,
     doubling_parameter,
     edge_first_pattern,
@@ -66,6 +68,7 @@ from .metrics import (
     distance_matrix,
     distances_from,
     eccentricity_report,
+    lift_diameter,
 )
 from .search import (
     SearchReport,

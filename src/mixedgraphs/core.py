@@ -329,7 +329,10 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
     isomorphic.  Whether some root reaches every vertex is
     isomorphism-invariant, and a walk is cut short only when its root could
     not give the least encoding, so isomorphic graphs never take different
-    paths.  O(n^2) time and no recursion.
+    paths.  When the first walk, from vertex 0, misses a vertex,
+    :func:`_has_root` decides in O(n) whether any vertex reaches them all,
+    so a graph outside the domain is turned away without a walk from every
+    vertex.  O(n^2) time and no recursion.
     """
     n = g.n
     heads: list[Optional[int]] = []
@@ -366,7 +369,45 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
         else:
             if len(order) == n and not tied:
                 best = code
+        if root == 0 and not best and not _has_root(partner, heads):
+            return None
     return tuple(best) if best else None
+
+
+def _has_root(partner: Sequence[Optional[int]], heads: Sequence[Optional[int]]) -> bool:
+    """Whether some vertex reaches every vertex along edge partners and
+    out-arc heads.  Only the root of the last tree of a depth-first pass
+    can: a vertex reaching all lies in the first tree to reach it, whose
+    root then reaches all and starts the last tree.  O(n) time."""
+    n = len(heads)
+    seen = [False] * n
+    last = 0
+    for start in range(n):
+        if not seen[start]:
+            last = start
+            _mark_reachable(start, partner, heads, seen)
+    return _mark_reachable(last, partner, heads, [False] * n) == n
+
+
+def _mark_reachable(
+    start: int,
+    partner: Sequence[Optional[int]],
+    heads: Sequence[Optional[int]],
+    seen: list[bool],
+) -> int:
+    """Mark start and the unmarked vertices it reaches through unmarked
+    vertices; return how many."""
+    seen[start] = True
+    stack = [start]
+    count = 0
+    while stack:
+        v = stack.pop()
+        count += 1
+        for w in (partner[v], heads[v]):
+            if w is not None and not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return count
 
 
 def _match(
@@ -441,6 +482,8 @@ def _ball_sizes(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 def ball_rounds(
     adj: Sequence[Sequence[int]],
+    q: int = 1,
+    views: Optional[Sequence[tuple[int, int]]] = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The distance kernel: grow every vertex's ball at once, one distance
     per round.
@@ -455,16 +498,31 @@ def ball_rounds(
     rounds 0..e(v) and no later; iteration ends after the last round in which
     some ball grew.  ``balls`` is updated in place by the next round, so read
     it before resuming.
+
+    With ``views``, the n = len(adj) vertices are the fibre representatives
+    (b, 0) of a Z_q cover, whose vertex (b, x) is bit x*n + b.  x -> x + 1
+    in every fibre is an automorphism of the cover, so the ball of (w, g) is
+    that of (w, 0) rotated by g*n bits.  ``views`` lists (w, g*n) pairs,
+    ``adj[v]`` indexes the views out of v, and the rotated balls take the
+    place of the ball_d(w).  A plain graph is the cover over the trivial
+    group and needs no views.
     """
-    full = (1 << len(adj)) - 1
-    balls = [1 << v for v in range(len(adj))]
-    grown = list(range(len(adj)))
+    n = len(adj)
+    size = n * q
+    full = (1 << size) - 1
+    balls = [1 << v for v in range(n)]
+    grown = list(range(n))
     while grown:
         yield balls, grown
-        prev = balls[:]
+        if views is None:
+            prev = balls[:]
+        else:
+            prev = [
+                (balls[w] << s | balls[w] >> (size - s)) & full for w, s in views
+            ]
         active, grown = grown, []
         for v in active:
-            ball = before = prev[v]
+            ball = before = balls[v]
             if ball == full:
                 continue
             for w in adj[v]:

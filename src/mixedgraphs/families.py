@@ -20,6 +20,7 @@ per dart, edge darts first (Gross and Tucker, Topological Graph Theory).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Literal, Optional, Sequence
 
 from .core import MixedGraph, bipartition
@@ -30,7 +31,7 @@ from .errors import (
     ParityError,
     UnsupportedParameterError,
 )
-from .metrics import diameter as _diameter
+from .metrics import lift_diameter as _lift_diameter
 
 
 @dataclass(frozen=True)
@@ -311,14 +312,18 @@ def crm(n: int, c: int) -> MixedGraph:
     undirected chord {i, i+c}.  Requires n even and c odd with 1 <= c < n so
     the chords form a perfect matching and the graph is bipartite by parity.
     """
-    if n < 2 or n % 2 != 0:
-        raise UnsupportedParameterError(f"ring length must be even >= 2, got {n}")
-    if not (1 <= c < n) or c % 2 != 1:
-        raise UnsupportedParameterError(f"chord length must be odd in 1..{n - 1}, got {c}")
+    _check_crm(n, c)
     arcs = [(i, (i + 1) % n) for i in range(n)]
     edges = [(i, (i + c) % n) for i in range(1, n, 2)]
     labels = [str(i) for i in range(n)]
     return MixedGraph.build(n, edges=edges, arcs=arcs, labels=labels)
+
+
+def _check_crm(n: int, c: int) -> None:
+    if n < 2 or n % 2 != 0:
+        raise UnsupportedParameterError(f"ring length must be even >= 2, got {n}")
+    if not (1 <= c < n) or c % 2 != 1:
+        raise UnsupportedParameterError(f"chord length must be odd in 1..{n - 1}, got {c}")
 
 
 def crm_optimal(k: int) -> CrmParams:
@@ -329,8 +334,8 @@ def crm_optimal(k: int) -> CrmParams:
     Case c1 (k = 6 mod 8): n = k(k/2-1) + 4,    c = 8t^2 - 8t + 3,  k = 8t-2
     Case c2 (k = 2 mod 8): n = k(k/2-1) + 4,    c = 24t^2 - 44t + 23, k = 8t-6
 
-    The constructed graph is checked to have diameter exactly k before the
-    parameters are returned.
+    The chordal ring's voltage graph is checked to have diameter exactly k
+    before the parameters are returned.
     """
     if k < 3:
         raise UnsupportedParameterError(f"optimal chordal ring needs k >= 3, got {k}")
@@ -355,7 +360,7 @@ def crm_optimal(k: int) -> CrmParams:
             k=k, case="c2", n=k * (k // 2 - 1) + 4, c=24 * t * t - 44 * t + 23,
             ell=k // 2, t=t,
         )
-    measured = _diameter(crm(params.n, params.c))
+    measured = _lift_diameter(*crm_voltage_graph(params.n, params.c))
     if measured != k:
         raise MalformedGraphError(
             f"chordal ring ({params.n},{params.c}) has diameter {measured}, wanted {k}"
@@ -370,13 +375,9 @@ def cdrm(m: int, c: int, convention: CdrmConvention = "shift") -> MixedGraph:
     Arcs run (alpha,i) -> (alpha,i+1) around each ring.  Chords join
     (0,i) ~ (1,i+c) under ``shift`` and (0,i) ~ (1,c-i) under ``reflect``;
     with m even and c odd the graph is bipartite by the parity of i.
+    Requires m >= 4: rings of length 2 are digons.
     """
-    if m < 2 or m % 2 != 0:
-        raise UnsupportedParameterError(f"ring length must be even >= 2, got {m}")
-    if c % 2 != 1:
-        raise UnsupportedParameterError(f"chord length must be odd, got {c}")
-    if convention not in ("shift", "reflect"):
-        raise UnsupportedParameterError(f"unknown convention {convention!r}")
+    _check_cdrm(m, c, convention)
     arcs = [(a * m + i, a * m + (i + 1) % m) for a in (0, 1) for i in range(m)]
     if convention == "shift":
         edges = [(i, m + (i + c) % m) for i in range(m)]
@@ -384,6 +385,15 @@ def cdrm(m: int, c: int, convention: CdrmConvention = "shift") -> MixedGraph:
         edges = [(i, m + (c - i) % m) for i in range(m)]
     labels = [f"({a},{i})" for a in (0, 1) for i in range(m)]
     return MixedGraph.build(2 * m, edges=edges, arcs=arcs, labels=labels)
+
+
+def _check_cdrm(m: int, c: int, convention: str) -> None:
+    if m < 4 or m % 2 != 0:
+        raise UnsupportedParameterError(f"ring length must be even >= 4, got {m}")
+    if c % 2 != 1:
+        raise UnsupportedParameterError(f"chord length must be odd, got {c}")
+    if convention not in ("shift", "reflect"):
+        raise UnsupportedParameterError(f"unknown convention {convention!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +409,9 @@ class LiftTemplate:
     group order, and checked before anything is built.  The base is
     2-coloured once as well: a lift maps closed walks to closed walks of
     the same length, so every lift of a bipartite base is bipartite.  Lift
-    vertex (b, x) gets index b*q + x.  Raises MalformedBaseError for a
-    shape without vertices or with a dart endpoint out of range.
+    vertex (b, x) gets index b*q + x.  Templates of equal shape are equal.
+    Raises MalformedBaseError for a shape without vertices or with a dart
+    endpoint out of range.
     """
 
     def __init__(
@@ -448,9 +459,31 @@ class LiftTemplate:
         self.arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for a, (tail, head) in enumerate(self.arc_darts):
             self.arcs_from[tail].append((n_edges + a, head))
+        # For metrics.lift_diameter: the base's steps as (head, dart, sign),
+        # an edge dart walked both ways, and steps_from[b] indexing b's.
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(self.edge_darts):
+            out[u].append((v, e, 1))
+            out[v].append((u, e, -1))
+        for a, (u, v) in enumerate(self.arc_darts):
+            out[u].append((v, n_edges + a, 1))
+        self.steps = tuple(step for steps in out for step in steps)
+        ends = list(accumulate(map(len, out)))
+        self.steps_from = [range(end - len(steps), end) for steps, end in zip(out, ends)]
 
     def __repr__(self) -> str:
         return f"LiftTemplate({self.n}, {self.edge_darts}, {self.arc_darts})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LiftTemplate):
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(self._shape())
+
+    def _shape(self) -> tuple:
+        return self.n, self.edge_darts, self.arc_darts
 
     @property
     def dart_count(self) -> int:
@@ -469,15 +502,20 @@ class LiftTemplate:
             if not 0 <= voltage < q:
                 raise MalformedBaseError(f"voltage {voltage} outside Z_{q}")
 
+    def well_formed(self, q: int, voltages: Sequence[int]) -> bool:
+        """Whether the lift over Z_q is a well-formed mixed graph, decided
+        from the congruence rules without building it.  Voltages are taken
+        modulo q."""
+        if self.always_malformed:
+            return False
+        return all((voltages[i] + sign * voltages[j]) % q for i, j, sign in self.rules)
+
     def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
         """The unlabelled lift over Z_q, or None when it is not a
         well-formed mixed graph.  Voltages are taken modulo q."""
-        if self.always_malformed:
+        if not self.well_formed(q, voltages):
             return None
         volts = [voltage % q for voltage in voltages]
-        for i, j, sign in self.rules:
-            if (volts[i] + sign * volts[j]) % q == 0:
-                return None
 
         def fibre(b: int, s: int) -> tuple[int, ...]:
             # the indices of lift vertices (b, x + s) for x = 0..q-1
@@ -547,3 +585,28 @@ def bdm5_base() -> tuple[LiftTemplate, int, tuple[int, ...]]:
     isomorphic to bdm(5): the four-vertex template with edge voltages 0, 0
     and arc voltages 2, 1, 0, 2."""
     return four_vertex_template(), 5, (0, 0, 2, 1, 0, 2)
+
+
+def crm_voltage_graph(n: int, c: int) -> tuple[LiftTemplate, int, tuple[int, ...]]:
+    """The voltage graph over Z_{n/2} whose cover is crm(n, c), ring vertex
+    2x + b being lift vertex (b, x): arcs 0 -> 1 and 1 -> 0 with voltages
+    0 and 1, and the edge dart (1, 0) with voltage (c+1)/2."""
+    _check_crm(n, c)
+    q = n // 2
+    template = LiftTemplate(2, edge_darts=((1, 0),), arc_darts=((0, 1), (1, 0)))
+    return template, q, ((c + 1) // 2 % q, 0, 1 % q)
+
+
+def cdrm_voltage_graph(
+    m: int, c: int, convention: CdrmConvention = "shift"
+) -> tuple[LiftTemplate, int, tuple[int, ...]]:
+    """The voltage graph over Z_m whose cover is cdrm(m, c, convention): the
+    edge dart (0, 1) and an arc loop on each vertex.  Under ``shift`` their
+    voltages are c, 1, 1, and ring vertex alpha*m + i is lift vertex
+    (alpha, i).  Under ``reflect`` they are 0, 1, m - 1; ring vertex i is
+    (0, i), and ring vertex m + (c - x) mod m is (1, x)."""
+    _check_cdrm(m, c, convention)
+    template = LiftTemplate(2, edge_darts=((0, 1),), arc_darts=((0, 0), (1, 1)))
+    if convention == "shift":
+        return template, m, (c % m, 1, 1)
+    return template, m, (0, 1, m - 1)

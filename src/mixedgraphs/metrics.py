@@ -5,20 +5,24 @@ both directions, arcs only forward.  Everything here reads the rounds of the
 one distance kernel, ``core.ball_rounds``, which grows every vertex's ball as
 a bitset, one distance per round: a vertex's eccentricity is the first round
 in which its ball is full, and a distance is the round in which its bit first
-appears.  In-eccentricities run the kernel on the predecessor lists.
-Unreachable pairs are marked with ``UNREACHABLE`` in distance rows; aggregate
-quantities over unreachable pairs become ``INFINITE`` so callers can filter
-candidates cheaply instead of handling errors.
+appears.  In-eccentricities run the kernel on the predecessor lists, and
+``lift_diameter`` runs it on one vertex per fibre of a voltage graph's
+cover.  Unreachable pairs are marked with ``UNREACHABLE`` in distance rows;
+aggregate quantities over unreachable pairs become ``INFINITE`` so callers
+can filter candidates cheaply instead of handling errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .core import MixedGraph, ball_rounds
-from .errors import UnsupportedParameterError
+from .errors import MalformedBaseError, UnsupportedParameterError
+
+if TYPE_CHECKING:  # families imports this module
+    from .families import LiftTemplate
 
 UNREACHABLE = -1
 INFINITE = math.inf
@@ -96,13 +100,45 @@ def diameter(g: MixedGraph) -> Eccentricity:
 
     This is the last round of the ball kernel, stopping at the first ball
     that stops growing before it is full."""
-    full = (1 << g.n) - 1
-    pending = g.n  # balls not yet full; each must grow in every round
+    return _last_round(ball_rounds(g.successors()), g.n, (1 << g.n) - 1)
+
+
+def lift_diameter(
+    template: "LiftTemplate", q: int, voltages: Sequence[int]
+) -> Eccentricity:
+    """Diameter of the associated digraph of the cover of the voltage graph
+    (template, q, voltages), or INFINITE, without building the cover.
+
+    The fibres' shifts are automorphisms, so this is the largest
+    eccentricity of the n representatives (b, 0), whose balls the kernel
+    grows by rotation.  A dart with voltage g steps by g, and an edge dart
+    also back by -g.  Voltages are taken modulo q; an assignment that
+    ``LiftTemplate.cover`` rejects as malformed is measured too.  Raises
+    MalformedBaseError for q < 1 or a wrong number of voltages.
+    """
+    if q < 1:
+        raise MalformedBaseError(f"group order must be >= 1, got {q}")
+    if len(voltages) != template.dart_count:
+        raise MalformedBaseError(
+            f"{template!r} takes {template.dart_count} voltages, got {len(voltages)}"
+        )
+    n = template.n
+    views = [(head, sign * voltages[i] % q * n) for head, i, sign in template.steps]
+    rounds = ball_rounds(template.steps_from, q, views)
+    return _last_round(rounds, n, (1 << n * q) - 1)
+
+
+def _last_round(
+    rounds: Iterator[tuple[list[int], list[int]]], count: int, full: int
+) -> Eccentricity:
+    """The last round of the kernel over ``count`` balls, or INFINITE as
+    soon as a ball stops growing before it is ``full``."""
+    pending = count  # balls not yet full; each must grow in every round
     d = 0
-    for d, (balls, grown) in enumerate(ball_rounds(g.successors())):
+    for d, (balls, grown) in enumerate(rounds):
         if len(grown) < pending:
             return INFINITE
-        pending = g.n - balls.count(full)
+        pending = count - balls.count(full)
     return INFINITE if pending else d
 
 

@@ -12,10 +12,10 @@ The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
 the voltage graph (template, q, voltages) that ``families.lift`` takes.
 The search rejects a malformed lift from the darts and voltages alone and
-builds only the well-formed ones.  The template 2-colours its base once;
-every lift of a bipartite base is bipartite, and lifts of other bases are
-2-coloured one by one.  The kept witnesses are the graphs the search built,
-with their vertex labels attached.
+measures the rest with ``metrics.lift_diameter``, which builds no graph.
+The template 2-colours its base once; every lift of a bipartite base is
+bipartite, and lifts of other bases are built and 2-coloured one by one.
+The kept witnesses are built lifts, with their vertex labels attached.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MixedGraph, bipartition, format_edge_list, isomorphism_classes
 from .errors import UnsupportedParameterError
-from .families import CdrmConvention, LiftTemplate, cdrm
-from .metrics import diameter
+from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph
+from .metrics import diameter, lift_diameter
 
 _WITNESS_CAP = 8
 _MASK64 = (1 << 64) - 1
@@ -145,11 +145,13 @@ def lift_search(
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
     counter-based generator keyed by the seed otherwise.  The template
-    rejects malformed lifts from the voltages alone and builds the rest for
-    their diameter.  If its base is bipartite so is every lift, otherwise
-    each built lift is 2-coloured.  The witnesses kept are the first
-    accepted lifts by canonical text, labelled as ``families.lift`` labels
-    them.  Reports are byte-identical across reruns with the same arguments.
+    rejects malformed lifts from the voltages alone, and
+    ``metrics.lift_diameter`` measures the rest.  A lift is built only to
+    2-colour it, when the base is not bipartite, or for its canonical text,
+    once accepted at or above the best order so far.  The witnesses kept
+    are the first accepted lifts by canonical text, labelled as
+    ``families.lift`` labels them.  Reports are byte-identical across
+    reruns with the same arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
     group order below 1, before any candidate is evaluated; the template
@@ -191,12 +193,20 @@ def lift_search(
         for voltages in assignments:
             candidates += 1
             remaining -= 1
-            g = template.cover(q, voltages)
-            if g is None or not (template.bipartite or bipartition(g) is not None):
+            if not template.well_formed(q, voltages):
                 continue
-            if diameter(g) <= k and (best_order is None or order >= best_order):
+            g = None
+            if not template.bipartite:
+                g = template.cover(q, voltages)
+                if bipartition(g) is None:
+                    continue
+            if lift_diameter(template, q, voltages) <= k and (
+                best_order is None or order >= best_order
+            ):
                 if best_order is None or order > best_order:
                     best_order, kept = order, {}
+                if g is None:
+                    g = template.cover(q, voltages)
                 text = format_edge_list(g)
                 if text in kept:
                     continue
@@ -225,13 +235,15 @@ def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:
     attachment conventions.
 
     Returns (c, convention, diameter) minimizing diameter, with ties broken
-    by smaller c and then shift before reflect.
+    by smaller c and then shift before reflect.  Rings are measured on
+    their voltage graphs; none is built.  Raises UnsupportedParameterError
+    for an odd m or m < 4, as ``cdrm`` does.
     """
     best: Optional[tuple[float, int, int]] = None
     conventions: tuple[CdrmConvention, ...] = ("shift", "reflect")
     for c in range(1, m, 2):
         for rank, convention in enumerate(conventions):
-            d = diameter(cdrm(m, c, convention))
+            d = lift_diameter(*cdrm_voltage_graph(m, c, convention))
             key = (d, c, rank)
             if best is None or key < best:
                 best = key

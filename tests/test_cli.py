@@ -183,6 +183,19 @@ def test_search_cdrm_command(capsys):
     assert "diameter=6" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "cdrm-scan", "--m", "2"], ["construct", "cdrm", "--m", "2", "--c", "1"]],
+    ids=["scan", "construct"],
+)
+def test_rings_of_length_two_are_refused(capsys, argv):
+    # each would be a digon
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "ring length must be even >= 4" in err
+
+
 def test_spectrum_command(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "bdm5")
     assert code == 0

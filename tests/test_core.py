@@ -268,6 +268,10 @@ def test_canonical_form_domain():
     assert _canonical_form(MixedGraph.build(3, arcs=[(0, 1), (1, 2), (2, 1)])) is not None
     # 0 and 2 both reach 1, but neither reaches the other
     assert _canonical_form(MixedGraph.build(3, arcs=[(0, 1), (2, 1)])) is None
+    # two 1,000-arc paths into vertex 2000: decided after one walk, where
+    # a walk from every vertex took quadratic time
+    paths = [(v, v + 1) for v in range(2000) if v != 999]
+    assert _canonical_form(MixedGraph.build(2001, arcs=[*paths, (999, 2000)])) is None
 
 
 # ---------------------------------------------------------------------------

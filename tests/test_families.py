@@ -15,12 +15,15 @@ from mixedgraphs import (
     bipartition,
     canonical_m,
     cdrm,
+    cdrm_voltage_graph,
     contract_edges,
     crm,
     crm_optimal,
+    crm_voltage_graph,
     diameter,
     four_vertex_template,
     lift,
+    lift_diameter,
     named_automorphism,
     path_endpoint_formula,
     validate_and_profile,
@@ -402,10 +405,15 @@ def test_crm_optimal_cases():
 # ---------------------------------------------------------------------------
 
 def test_cdrm_smallest_case():
-    g = cdrm(2, 1, "shift")
-    assert g.n == 4
-    assert all(p is not None for p in g.edge_partner)
-    assert all(len(a) == 1 for a in g.out_arcs)
+    # rings of length 2 are digons, so the smallest ring has length 4
+    for convention in ("shift", "reflect"):
+        g = cdrm(4, 1, convention)
+        assert g.n == 8
+        assert all(p is not None for p in g.edge_partner)
+        assert all(len(a) == 1 for a in g.out_arcs)
+        profile = validate_and_profile(g)
+        assert profile.is_totally_regular(1, 1)
+        assert profile.bipartite_ok
 
 
 def test_cdrm_is_bipartite_by_position_parity():
@@ -418,12 +426,51 @@ def test_cdrm_is_bipartite_by_position_parity():
 
 
 def test_cdrm_rejects_bad_parameters():
-    with pytest.raises(UnsupportedParameterError):
-        cdrm(9, 3)
-    with pytest.raises(UnsupportedParameterError):
-        cdrm(10, 4)
-    with pytest.raises(UnsupportedParameterError):
-        cdrm(10, 3, "spiral")  # type: ignore[arg-type]
+    # m = 2 would give digons
+    for args in [(9, 3), (10, 4), (10, 3, "spiral"), (2, 1), (0, 1), (-2, 1)]:
+        for construct in (cdrm, cdrm_voltage_graph):
+            with pytest.raises(UnsupportedParameterError):
+                construct(*args)
+
+
+def test_crm_voltage_graph_rejects_what_crm_rejects():
+    for n, c in [(9, 3), (10, 4), (10, 11), (0, 1), (10, -1)]:
+        with pytest.raises(UnsupportedParameterError):
+            crm(n, c)
+        with pytest.raises(UnsupportedParameterError):
+            crm_voltage_graph(n, c)
+
+
+def assert_same_edges_and_arcs(g, h):
+    assert g.n == h.n
+    assert g.edges() == h.edges()
+    assert g.arcs() == h.arcs()
+
+
+@pytest.mark.parametrize("n", range(6, 41, 2))
+def test_crm_is_the_cover_of_its_voltage_graph(n):
+    for c in range(3, n - 1, 2):  # c = 1 and n - 1 put an arc along a chord
+        voltage_graph = crm_voltage_graph(n, c)
+        q = n // 2
+        # lift vertex (b, x), index b*q + x, is ring vertex 2x + b
+        perm = [2 * x + b for b in (0, 1) for x in range(q)]
+        assert_same_edges_and_arcs(lift(*voltage_graph).relabelled(perm), crm(n, c))
+        assert lift_diameter(*voltage_graph) == diameter(crm(n, c))
+
+
+@pytest.mark.parametrize("m", range(4, 31, 2))
+def test_cdrm_is_the_cover_of_its_voltage_graph(m):
+    for c in range(-m - 1, 2 * m, 2):
+        shift = cdrm_voltage_graph(m, c, "shift")
+        assert_same_edges_and_arcs(lift(*shift), cdrm(m, c, "shift"))
+        # lift vertex (1, x), index m + x, is ring vertex m + (c - x) mod m
+        reflect = cdrm_voltage_graph(m, c, "reflect")
+        perm = [*range(m), *(m + (c - x) % m for x in range(m))]
+        assert_same_edges_and_arcs(
+            lift(*reflect).relabelled(perm), cdrm(m, c, "reflect")
+        )
+        for convention, voltage_graph in (("shift", shift), ("reflect", reflect)):
+            assert lift_diameter(*voltage_graph) == diameter(cdrm(m, c, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +486,7 @@ def test_lift_of_the_four_vertex_base():
 
 def test_bdm5_base_is_the_four_vertex_template():
     template, q, voltages = bdm5_base()
-    assert repr(template) == repr(four_vertex_template())
+    assert template == four_vertex_template()
     assert (q, voltages) == (5, (0, 0, 2, 1, 0, 2))
 
 
@@ -482,6 +529,17 @@ def test_lift_rejects_malformed_bases():
     ]:
         with pytest.raises(MalformedBaseError):
             lift(template, 6, voltages)
+
+
+def test_lift_templates_compare_by_shape():
+    shape = (2, ((0, 1),), ((0, 1), (1, 0)))
+    assert LiftTemplate(*shape) == LiftTemplate(*shape)
+    assert hash(LiftTemplate(*shape)) == hash(LiftTemplate(*shape))
+    assert len({LiftTemplate(*shape), LiftTemplate(2, [[0, 1]], [(0, 1), (1, 0)])}) == 1
+    # the dart order is part of the shape: it fixes the voltages' order
+    assert LiftTemplate(2, ((0, 1),), ((1, 0), (0, 1))) != LiftTemplate(*shape)
+    assert LiftTemplate(3, ((0, 1),), ((0, 1), (1, 0))) != LiftTemplate(*shape)
+    assert LiftTemplate(*shape) != shape
 
 
 @pytest.mark.parametrize(

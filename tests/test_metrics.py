@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from mixedgraphs import (
     INFINITE,
     UNREACHABLE,
+    LiftTemplate,
     MixedGraph,
     bdm,
+    bdm5_base,
     converse,
     crm,
     diameter,
     distance_matrix,
     distances_from,
     eccentricity_report,
+    four_vertex_template,
+    lift_diameter,
+    two_vertex_template,
 )
-from mixedgraphs.errors import UnsupportedParameterError
+from mixedgraphs.errors import MalformedBaseError, UnsupportedParameterError
 from mixedgraphs.families import BdmVertex
 
 
@@ -99,3 +106,40 @@ def test_central_vertices_attain_radius():
         assert report.ecc_out[v] == report.out_radius
     for v in report.in_central:
         assert report.ecc_in[v] == report.in_radius
+
+
+# ---------------------------------------------------------------------------
+# lift_diameter: the cover's diameter from one vertex per fibre
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "template, q",
+    [(four_vertex_template(), q) for q in range(1, 6)]
+    + [(two_vertex_template(), q) for q in range(1, 12)],
+    ids=[f"four-q{q}" for q in range(1, 6)] + [f"two-q{q}" for q in range(1, 12)],
+)
+def test_lift_diameter_matches_the_built_cover_on_every_assignment(template, q):
+    for voltages in itertools.product(range(q), repeat=template.dart_count):
+        g = template.cover(q, voltages)
+        if g is not None:
+            assert lift_diameter(template, q, voltages) == diameter(g), voltages
+
+
+def test_lift_diameter_of_known_covers():
+    assert lift_diameter(*bdm5_base()) == diameter(bdm(5)) == 6
+    cycle = LiftTemplate(1, (), ((0, 0),))
+    assert lift_diameter(cycle, 6, (1,)) == 5
+    assert lift_diameter(cycle, 6, (5,)) == 5  # the same cycle, run backwards
+    assert lift_diameter(cycle, 6, (2,)) == INFINITE  # two disjoint 3-cycles
+    assert lift_diameter(cycle, 6, (-1,)) == 5  # voltages are taken modulo q
+    # over the trivial group the cover is the base: nothing leaves vertex 2
+    path = LiftTemplate(3, ((0, 1),), ((1, 2),))
+    assert lift_diameter(path, 1, (0, 0)) == INFINITE
+    assert lift_diameter(LiftTemplate(1, (), ()), 1, ()) == 0
+
+
+def test_lift_diameter_rejects_bad_voltage_graphs():
+    cycle = LiftTemplate(1, (), ((0, 0),))
+    for q, voltages in [(0, (0,)), (-3, (1,)), (5, ()), (5, (1, 1))]:
+        with pytest.raises(MalformedBaseError):
+            lift_diameter(cycle, q, voltages)

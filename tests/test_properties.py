@@ -23,6 +23,7 @@ from mixedgraphs import (
     format_edge_list,
     isomorphism_classes,
     lift,
+    lift_diameter,
     validate_and_profile,
     verify_automorphism,
 )
@@ -406,7 +407,7 @@ def assert_template_matches_reference(template, q, voltages) -> None:
     assert (g is None) == (expected is None), (template, q, voltages)
     if g is not None:
         reference, d = expected
-        assert diameter(g) == d
+        assert diameter(g) == lift_diameter(template, q, voltages) == d
         assert g.edges() == reference.edges()
         assert g.arcs() == reference.arcs()
 
@@ -469,6 +470,14 @@ def reference_rejects(voltage_graph) -> bool:
     except MalformedGraphError:
         return True
     return False
+
+
+@settings(max_examples=500)
+@given(voltage_bases())
+def test_lift_diameter_matches_the_built_cover(voltage_graph):
+    g = voltage_graph[0].cover(*voltage_graph[1:])
+    if g is not None:
+        assert lift_diameter(*voltage_graph) == diameter(g)
 
 
 @example((LiftTemplate(2, (), ((0, 1), (1, 0))), 3, (1, 2)))  # a digon

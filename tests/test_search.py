@@ -29,6 +29,7 @@ from mixedgraphs.search import (
     _class1_permutations,
     _derangement_type_representatives,
     _general_candidates,
+    _sample_voltages,
     _totally_regular_candidates,
 )
 from test_properties import assert_template_matches_reference, reference_are_isomorphic
@@ -300,6 +301,44 @@ def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
     assert coloured == [3] + [6] * 8
 
 
+def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
+    # the lift-sweep search: every candidate is judged on the voltage graph,
+    # and a lift is built only for its canonical text, once it is accepted
+    # at or above the best order so far
+    built, judged = [], []
+
+    def counting_cover(template, q, voltages):
+        built.append((q, tuple(voltages)))
+        return cover(template, q, voltages)
+
+    def recording_lift_diameter(template, q, voltages):
+        d = lift_diameter(template, q, voltages)
+        judged.append((q, tuple(voltages), d))
+        return d
+
+    cover, lift_diameter = LiftTemplate.cover, search.lift_diameter
+    monkeypatch.setattr(LiftTemplate, "cover", counting_cover)
+    monkeypatch.setattr(search, "lift_diameter", recording_lift_diameter)
+    template = four_vertex_template()
+    report = lift_search(6, template, [5, 7], budget=20000, seed=1)
+    monkeypatch.undo()
+
+    # the same candidates, in the same order, as the search generates them
+    space = [(5, v) for v in itertools.product(range(5), repeat=6)]
+    space += [(7, _sample_voltages(1, 7, i, 6)) for i in range(20000 - 5**6)]
+    assert [(q, v) for q, v, _ in judged] == [
+        (q, v) for q, v in space if template.cover(q, v) is not None
+    ]
+    expected, best = [], None
+    for q, voltages, d in judged:
+        if d <= 6 and (best is None or 4 * q >= best):
+            best = max(best or 0, 4 * q)
+            expected.append((q, voltages))
+    assert best == report.best_order == 20
+    assert built == expected
+    assert len(built) == 5500
+
+
 def refuse_evaluation(*args):
     pytest.fail("a candidate was evaluated before the arguments were checked")
 
@@ -344,9 +383,36 @@ def test_cdrm_scan_reaches_diameter_six_on_twenty_vertices():
 
 
 def test_cdrm_scan_smallest_ring():
-    c, convention, d = cdrm_scan(2)
-    assert c == 1
-    assert d == 2
+    # rings of length 2 are digons
+    with pytest.raises(UnsupportedParameterError):
+        cdrm_scan(2)
+    c, convention, d = cdrm_scan(4)
+    assert (c, convention, d) == (1, "reflect", 3)
+    assert diameter(cdrm(4, c, convention)) == 3
+
+
+def reference_cdrm_scan(m):
+    """Reference: the scan that built every ring and measured its diameter."""
+    best = None
+    conventions = ("shift", "reflect")
+    for c in range(1, m, 2):
+        for rank, convention in enumerate(conventions):
+            d = diameter(cdrm(m, c, convention))
+            key = (d, c, rank)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise UnsupportedParameterError(f"no odd chord exists for m = {m}")
+    d, c, rank = best
+    return c, conventions[rank], d
+
+
+def test_cdrm_scan_matches_the_reference_scan():
+    for m in range(4, 61, 2):
+        assert cdrm_scan(m) == reference_cdrm_scan(m), m
+    for m in (-1, 0, 1, 2, 3, 5, 9):
+        with pytest.raises(UnsupportedParameterError):
+            cdrm_scan(m)
 
 
 def test_cdrm_scan_order52():
