@@ -19,6 +19,7 @@ per dart, edge darts first (Gross and Tucker, Topological Graph Theory).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Literal, Optional, Sequence
@@ -309,8 +310,10 @@ def crm(n: int, c: int) -> MixedGraph:
     """Chordal ring mixed graph: a directed n-cycle plus chords.
 
     Vertices are integers modulo n with arcs i -> i+1; each odd i carries the
-    undirected chord {i, i+c}.  Requires n even and c odd with 1 <= c < n so
-    the chords form a perfect matching and the graph is bipartite by parity.
+    undirected chord {i, i+c}.  Requires n even and c odd so that the chords
+    form a perfect matching and the graph is bipartite by parity, and
+    3 <= c <= n - 3, so n >= 6: c = 1 and c = n - 1 put an arc along a
+    chord, and n = 2 is a digon.
     """
     _check_crm(n, c)
     arcs = [(i, (i + 1) % n) for i in range(n)]
@@ -320,10 +323,10 @@ def crm(n: int, c: int) -> MixedGraph:
 
 
 def _check_crm(n: int, c: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise UnsupportedParameterError(f"ring length must be even >= 2, got {n}")
-    if not (1 <= c < n) or c % 2 != 1:
-        raise UnsupportedParameterError(f"chord length must be odd in 1..{n - 1}, got {c}")
+    if n < 6 or n % 2 != 0:
+        raise UnsupportedParameterError(f"ring length must be even >= 6, got {n}")
+    if not (3 <= c <= n - 3) or c % 2 != 1:
+        raise UnsupportedParameterError(f"chord length must be odd in 3..{n - 3}, got {c}")
 
 
 def crm_optimal(k: int) -> CrmParams:
@@ -375,7 +378,10 @@ def cdrm(m: int, c: int, convention: CdrmConvention = "shift") -> MixedGraph:
     Arcs run (alpha,i) -> (alpha,i+1) around each ring.  Chords join
     (0,i) ~ (1,i+c) under ``shift`` and (0,i) ~ (1,c-i) under ``reflect``;
     with m even and c odd the graph is bipartite by the parity of i.
-    Requires m >= 4: rings of length 2 are digons.
+    Requires m >= 4: rings of length 2 are digons.  The chord does not
+    change the graph up to isomorphism: rotating ring 1 by c - c' maps the
+    rings of chord c onto those of chord c' under either convention, and
+    every odd c gives ``cdrm_voltage_graph`` one voltage class.
     """
     _check_cdrm(m, c, convention)
     arcs = [(a * m + i, a * m + (i + 1) % m) for a in (0, 1) for i in range(m)]
@@ -410,6 +416,16 @@ class LiftTemplate:
     2-coloured once as well: a lift maps closed walks to closed walks of
     the same length, so every lift of a bipartite base is bipartite.  Lift
     vertex (b, x) gets index b*q + x.  Templates of equal shape are equal.
+
+    ``voltage_class(q, voltages)`` keys a lift up to isomorphism.  The
+    template fixes a spanning forest of the base, ignoring direction, once.
+    Relabelling lift vertex (b, x) as (b, x - p(b)), for any shifts p, is
+    an isomorphism that turns the voltage g of a dart (u, v) into
+    g + p(u) - p(v); choosing p along the forest gives every tree dart
+    voltage 0 (Gross and Tucker).  What is left, the net voltage of each
+    non-tree dart around its fundamental cycle, is the class, so two
+    assignments of one class have isomorphic lifts: equally well formed,
+    equally bipartite, and of one diameter.
     Raises MalformedBaseError for a shape without vertices or with a dart
     endpoint out of range.
     """
@@ -470,6 +486,36 @@ class LiftTemplate:
         self.steps = tuple(step for steps in out for step in steps)
         ends = list(accumulate(map(len, out)))
         self.steps_from = [range(end - len(steps), end) for steps, end in zip(out, ends)]
+        # For voltage_class: a spanning forest of the base, grown breadth
+        # first from the least unreached vertex, with every dart walked both
+        # ways.  A vertex's potential p(b) is the signed sum of the tree
+        # darts' voltages on its path from the root, as {dart: coefficient},
+        # and a non-tree dart (u, v) keeps its net voltage g + p(u) - p(v).
+        darts = (*self.edge_darts, *self.arc_darts)
+        links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for d, (u, v) in enumerate(darts):
+            links[u].append((v, d, 1))
+            links[v].append((u, d, -1))
+        potential: list[Optional[dict[int, int]]] = [None] * n
+        tree: set[int] = set()
+        for root in range(n):
+            if potential[root] is None:
+                potential[root] = {}
+                frontier = [root]
+                for u in frontier:
+                    for v, d, sign in links[u]:
+                        if potential[v] is None:
+                            potential[v] = {**potential[u], d: sign}
+                            tree.add(d)
+                            frontier.append(v)
+        cycles = []
+        for d, (u, v) in enumerate(darts):
+            if d not in tree:
+                net = Counter({d: 1})
+                net.update(potential[u])
+                net.subtract(potential[v])
+                cycles.append(tuple(sorted((i, c) for i, c in net.items() if c)))
+        self.cycles = tuple(cycles)
 
     def __repr__(self) -> str:
         return f"LiftTemplate({self.n}, {self.edge_darts}, {self.arc_darts})"
@@ -509,6 +555,14 @@ class LiftTemplate:
         if self.always_malformed:
             return False
         return all((voltages[i] + sign * voltages[j]) % q for i, j, sign in self.rules)
+
+    def voltage_class(self, q: int, voltages: Sequence[int]) -> tuple[int, ...]:
+        """The net voltages, modulo q, of the fundamental cycles of the
+        template's spanning forest, one per non-tree dart.  Equal classes
+        give isomorphic lifts over Z_q.  Voltages are taken modulo q."""
+        return tuple(
+            sum(c * voltages[i] for i, c in cycle) % q for cycle in self.cycles
+        )
 
     def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
         """The unlabelled lift over Z_q, or None when it is not a

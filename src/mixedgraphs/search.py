@@ -12,10 +12,13 @@ The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
 the voltage graph (template, q, voltages) that ``families.lift`` takes.
 The search rejects a malformed lift from the darts and voltages alone and
-measures the rest with ``metrics.lift_diameter``, which builds no graph.
-The template 2-colours its base once; every lift of a bipartite base is
-bipartite, and lifts of other bases are built and 2-coloured one by one.
-The kept witnesses are built lifts, with their vertex labels attached.
+judges the rest once per voltage class (``LiftTemplate.voltage_class``):
+two assignments of one class have isomorphic lifts, so the first candidate
+of a class decides for all of them, exactly.  It is measured with
+``metrics.lift_diameter``, which builds no graph.  The template 2-colours
+its base once; every lift of a bipartite base is bipartite, and for other
+bases the first lift of each class is built and 2-coloured.  The kept
+witnesses are built lifts, with their vertex labels attached.
 """
 
 from __future__ import annotations
@@ -145,10 +148,16 @@ def lift_search(
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
     counter-based generator keyed by the seed otherwise.  The template
-    rejects malformed lifts from the voltages alone, and
-    ``metrics.lift_diameter`` measures the rest.  A lift is built only to
-    2-colour it, when the base is not bipartite, or for its canonical text,
-    once accepted at or above the best order so far.  The witnesses kept
+    rejects malformed lifts from the voltages alone.  The rest are judged
+    once per voltage class and group order: relabelling the lift's fibres
+    makes every assignment of a class one with voltage 0 on the template's
+    spanning forest and the class's net voltages elsewhere, so all its
+    lifts are isomorphic and share the verdict of its first candidate,
+    measured by ``metrics.lift_diameter``.  A lift is built only to
+    2-colour that first candidate, when the base is not bipartite, or for
+    its canonical text, once accepted at or above the best order so far.
+    Every candidate still counts, in the same order, so the report is the
+    one a per-candidate judgement gives.  The witnesses kept
     are the first accepted lifts by canonical text, labelled as
     ``families.lift`` labels them.  Reports are byte-identical across
     reruns with the same arguments.
@@ -190,19 +199,23 @@ def lift_search(
                 _sample_voltages(seed, q, counter, template.dart_count)
                 for counter in range(remaining)
             )
+        # voltage class -> whether its lifts are bipartite of diameter <= k
+        verdicts: dict[tuple[int, ...], bool] = {}
         for voltages in assignments:
             candidates += 1
             remaining -= 1
             if not template.well_formed(q, voltages):
                 continue
+            key = template.voltage_class(q, voltages)
+            accepted = verdicts.get(key)
             g = None
-            if not template.bipartite:
-                g = template.cover(q, voltages)
-                if bipartition(g) is None:
-                    continue
-            if lift_diameter(template, q, voltages) <= k and (
-                best_order is None or order >= best_order
-            ):
+            if accepted is None:
+                if not template.bipartite:
+                    g = template.cover(q, voltages)
+                accepted = verdicts[key] = (
+                    g is None or bipartition(g) is not None
+                ) and lift_diameter(template, q, voltages) <= k
+            if accepted and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
                     best_order, kept = order, {}
                 if g is None:
@@ -236,8 +249,10 @@ def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:
 
     Returns (c, convention, diameter) minimizing diameter, with ties broken
     by smaller c and then shift before reflect.  Rings are measured on
-    their voltage graphs; none is built.  Raises UnsupportedParameterError
-    for an odd m or m < 4, as ``cdrm`` does.
+    their voltage graphs; none is built.  Every odd chord gives an
+    isomorphic ring under a given convention (see ``cdrm``), so the chord
+    returned is always 1.  Raises UnsupportedParameterError for an odd m
+    or m < 4, as ``cdrm`` does.
     """
     best: Optional[tuple[float, int, int]] = None
     conventions: tuple[CdrmConvention, ...] = ("shift", "reflect")

@@ -152,13 +152,15 @@ def test_c06_chordal_ring_bound_sharpness():
     failures = []
     for k in range(3, 9):
         cap = crm_upper(k)
-        for n in range(4, cap + 5, 2):
-            for c in range(1, n, 2):
+        # every ring crm accepts: n even >= 6, c odd in 3..n-3
+        for n in range(6, cap + 5, 2):
+            for c in range(3, n - 2, 2):
                 g = crm(n, c)
                 try:
                     validate_and_profile(g)
-                except MalformedGraphError:
-                    continue  # chord parallel to an arc: not a valid instance
+                except MalformedGraphError as exc:
+                    failures.append(f"({n},{c}) is malformed: {exc}")
+                    continue
                 if diameter(g) <= k and n > cap:
                     failures.append(f"k={k}: ({n},{c}) beats the bound {cap}")
     _finish("C06", "chordal ring bound sharpness", failures, started, 120.0)

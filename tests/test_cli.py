@@ -196,6 +196,14 @@ def test_rings_of_length_two_are_refused(capsys, argv):
     assert err.count("\n") == 1 and "ring length must be even >= 4" in err
 
 
+def test_construct_refuses_a_chord_along_an_arc(capsys):
+    # crm(8, 1) would put the arc 1 -> 2 along the chord {1, 2}
+    code, out, err = run_cli(capsys, "construct", "crm", "--n", "8", "--c", "1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "chord length must be odd in 3..5" in err
+
+
 def test_spectrum_command(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "bdm5")
     assert code == 0

@@ -30,6 +30,7 @@ from mixedgraphs import (
     verify_automorphism,
     walk_pattern,
 )
+from mixedgraphs.core import _canonical_form
 from mixedgraphs.errors import (
     MalformedBaseError,
     ParityError,
@@ -434,7 +435,9 @@ def test_cdrm_rejects_bad_parameters():
 
 
 def test_crm_voltage_graph_rejects_what_crm_rejects():
-    for n, c in [(9, 3), (10, 4), (10, 11), (0, 1), (10, -1)]:
+    # c = 1 and c = n - 1 put an arc along a chord; n = 2 is a digon
+    bad = [(9, 3), (10, 4), (10, 11), (0, 1), (10, -1), (8, 1), (8, 7), (2, 1), (4, 3)]
+    for n, c in bad:
         with pytest.raises(UnsupportedParameterError):
             crm(n, c)
         with pytest.raises(UnsupportedParameterError):
@@ -471,6 +474,21 @@ def test_cdrm_is_the_cover_of_its_voltage_graph(m):
         )
         for convention, voltage_graph in (("shift", shift), ("reflect", reflect)):
             assert lift_diameter(*voltage_graph) == diameter(cdrm(m, c, convention))
+
+
+@pytest.mark.parametrize("m", range(4, 31, 2))
+def test_the_chord_does_not_matter_in_cdrm(m):
+    # under shift the chord's edge dart is a tree dart; under reflect the
+    # voltages do not involve c: one voltage class and one canonical form
+    # per convention for every odd chord
+    for convention in ("shift", "reflect"):
+        classes, forms = set(), set()
+        for c in range(1, m, 2):
+            template, q, voltages = cdrm_voltage_graph(m, c, convention)
+            classes.add(template.voltage_class(q, voltages))
+            forms.add(_canonical_form(cdrm(m, c, convention)))
+        assert len(classes) == 1 and len(forms) == 1, convention
+        assert None not in forms
 
 
 # ---------------------------------------------------------------------------
@@ -603,3 +621,9 @@ def test_crm_optimal_rows_are_totally_regular_bipartite():
         profile = validate_and_profile(g)
         assert profile.is_totally_regular(1, 1)
         assert profile.bipartite_ok
+
+
+def test_crm_optimal_rows_lie_in_the_accepted_range():
+    for k in range(3, 121):
+        params = crm_optimal(k)  # checks (n, c) as crm does
+        assert params.c % 2 == 1 and 3 <= params.c <= params.n - 3, k

@@ -492,3 +492,64 @@ def test_lift_matches_reference_lift(voltage_graph):
         return
     # edges, arcs, out-arc order and labels
     assert lift(*voltage_graph) == reference_lift(*voltage_graph)
+
+
+def relabelled(template, voltages, p):
+    """The voltages of the lift after relabelling lift vertex (b, x) as
+    (b, x - p(b)): a dart (u, v) with voltage g gets g + p(u) - p(v)."""
+    darts = (*template.edge_darts, *template.arc_darts)
+    return tuple(g + p[u] - p[v] for g, (u, v) in zip(voltages, darts))
+
+
+def zeroed_on_a_spanning_forest(template, voltages):
+    """Reference: the voltages relabelled by p(v) = p(u) + g along the
+    darts of a depth-first spanning forest, and that forest's darts, each
+    now of voltage 0."""
+    darts = (*template.edge_darts, *template.arc_darts)
+    p = [None] * template.n
+    tree = set()
+    for root in range(template.n):
+        if p[root] is not None:
+            continue
+        p[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for d, ((a, b), g) in enumerate(zip(darts, voltages)):
+                for x, y, step in ((a, b, g), (b, a, -g)):
+                    if x == u and p[y] is None:
+                        p[y] = p[u] + step
+                        tree.add(d)
+                        stack.append(y)
+    return relabelled(template, voltages, p), tree
+
+
+@st.composite
+def relabelled_voltages(draw):
+    """A voltage graph from voltage_bases() and its voltages relabelled by
+    random shifts p."""
+    template, q, voltages = draw(voltage_bases())
+    shift = st.integers(-q, 2 * q)
+    p = draw(st.lists(shift, min_size=template.n, max_size=template.n))
+    return template, q, voltages, relabelled(template, voltages, p)
+
+
+@settings(max_examples=500)
+@given(relabelled_voltages())
+def test_one_voltage_class_gives_isomorphic_lifts(case):
+    # a relabelling reaches exactly the assignments of one class
+    template, q, voltages, moved = case
+    key = template.voltage_class(q, voltages)
+    assert template.voltage_class(q, moved) == key
+    zeroed, tree = zeroed_on_a_spanning_forest(template, voltages)
+    assert all(zeroed[d] % q == 0 for d in tree)
+    assert template.voltage_class(q, zeroed) == key
+    assert lift_diameter(template, q, voltages) == lift_diameter(template, q, moved)
+    assert template.well_formed(q, voltages) == template.well_formed(q, moved)
+    if template.well_formed(q, voltages):
+        g, h = template.cover(q, voltages), template.cover(q, moved)
+        form = _canonical_form(g)
+        if form is not None:
+            assert _canonical_form(h) == form
+        else:
+            assert are_isomorphic(g, h)

@@ -17,6 +17,7 @@ from mixedgraphs import (
     exhaustive_max_order,
     four_vertex_template,
     isomorphism_classes,
+    lift_diameter,
     lift_search,
     two_vertex_template,
     format_edge_list,
@@ -295,16 +296,19 @@ def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
     lift_search(6, four_vertex_template(), [3, 4], budget=20000, seed=1)
     assert coloured == [4]
     coloured.clear()
-    # an arc triangle is not bipartite: each well-formed lift is coloured
+    # an arc triangle is not bipartite: the first lift of each voltage
+    # class is coloured; at q = 2 its 8 assignments, all well formed, fall
+    # into 2 classes, the sum of the three voltages modulo 2
     triangle = LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0)))
     lift_search(2, triangle, [2], budget=100, seed=1)
-    assert coloured == [3] + [6] * 8
+    assert coloured == [3] + [6] * 2
 
 
 def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
-    # the lift-sweep search: every candidate is judged on the voltage graph,
-    # and a lift is built only for its canonical text, once it is accepted
-    # at or above the best order so far
+    # the lift-sweep search: each voltage class is judged once, on the
+    # voltage graph of its first well-formed candidate, and a lift is built
+    # only for its canonical text, once it is accepted at or above the best
+    # order so far
     built, judged = [], []
 
     def counting_cover(template, q, voltages):
@@ -326,17 +330,133 @@ def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
     # the same candidates, in the same order, as the search generates them
     space = [(5, v) for v in itertools.product(range(5), repeat=6)]
     space += [(7, _sample_voltages(1, 7, i, 6)) for i in range(20000 - 5**6)]
-    assert [(q, v) for q, v, _ in judged] == [
-        (q, v) for q, v in space if template.cover(q, v) is not None
-    ]
+    well_formed = [(q, v) for q, v in space if template.cover(q, v) is not None]
+    first_of_class = {}
+    for q, v in well_formed:
+        first_of_class.setdefault((q, template.voltage_class(q, v)), (q, v))
+    assert [(q, v) for q, v, _ in judged] == list(first_of_class.values())
+    assert len(judged) <= 5**3 + 7**3
     expected, best = [], None
-    for q, voltages, d in judged:
+    for q, voltages in well_formed:
+        d = lift_diameter(template, q, voltages)  # each candidate's own
         if d <= 6 and (best is None or 4 * q >= best):
             best = max(best or 0, 4 * q)
             expected.append((q, voltages))
     assert best == report.best_order == 20
     assert built == expected
     assert len(built) == 5500
+
+
+def reference_lift_search(k, template, q_range, budget, seed):
+    """Reference: the search that judged every well-formed candidate on
+    its own, with no memo of voltage classes."""
+    if k < 1:
+        raise UnsupportedParameterError(f"diameter must be >= 1, got {k}")
+    if budget <= 0:
+        raise UnsupportedParameterError(f"budget must be positive, got {budget}")
+    orders = [int(q) for q in q_range]
+    for q in orders:
+        if q < 1:
+            raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
+    orders = list(dict.fromkeys(orders))
+    candidates = 0
+    remaining = budget
+    exhaustive = True
+    best_order = None
+    kept = {}
+    for q in orders:
+        if remaining <= 0:
+            exhaustive = False
+            break
+        order = template.n * q
+        space = q**template.dart_count
+        if space <= remaining:
+            assignments = itertools.product(range(q), repeat=template.dart_count)
+        else:
+            exhaustive = False
+            assignments = (
+                _sample_voltages(seed, q, counter, template.dart_count)
+                for counter in range(remaining)
+            )
+        for voltages in assignments:
+            candidates += 1
+            remaining -= 1
+            if not template.well_formed(q, voltages):
+                continue
+            g = None
+            if not template.bipartite:
+                g = template.cover(q, voltages)
+                if bipartition(g) is None:
+                    continue
+            if search.lift_diameter(template, q, voltages) <= k and (
+                best_order is None or order >= best_order
+            ):
+                if best_order is None or order > best_order:
+                    best_order, kept = order, {}
+                if g is None:
+                    g = template.cover(q, voltages)
+                text = format_edge_list(g)
+                if text in kept:
+                    continue
+                if len(kept) == search._WITNESS_CAP:
+                    worst = max(kept)
+                    if text > worst:
+                        continue
+                    del kept[worst]
+                kept[text] = g
+    witnesses = isomorphism_classes([template.labelled(g) for g in kept.values()])
+    return search.SearchReport(
+        kind="lift",
+        k=k,
+        max_order_tested=template.n * max(orders) if orders else 0,
+        best_order=best_order,
+        exhaustive=exhaustive,
+        witnesses=tuple(witnesses),
+        candidates=candidates,
+        wall_time=0.0,
+        seed=seed,
+    )
+
+
+TRIANGLE = LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0)))
+CDRM_LOOPS = LiftTemplate(2, ((0, 1),), ((0, 0), (1, 1)))
+PARALLEL = LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0), (1, 0)))
+REFERENCE_CASES = (
+    [(6, four_vertex_template(), [q], 10**6, 1) for q in range(1, 7)]
+    + [(k, two_vertex_template(), [q], 10**4, 1)
+       for q in range(1, 13) for k in range(3, 7)]
+    + [(k, TRIANGLE, [2, 3, 4, 6], 10**4, 1) for k in (2, 4, 6)]
+    + [(k, CDRM_LOOPS, range(1, 13), 10**4, 1) for k in (3, 5, 8)]
+    + [(k, PARALLEL, range(1, 7), 10**4, 1) for k in (3, 4, 6)]
+    # budgets below the space: the seeded sampler
+    + [(6, four_vertex_template(), [5, 7], 9000, seed) for seed in (1, 2, 3)]
+    + [(5, two_vertex_template(), [9, 10, 11], 700, seed) for seed in (4, 5, 6)]
+    + [(4, TRIANGLE, [5, 6], 150, seed) for seed in (7, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "k, template, q_range, budget, seed", REFERENCE_CASES,
+    ids=[f"case{i}" for i in range(len(REFERENCE_CASES))],
+)
+def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, budget, seed):
+    report = lift_search(k, template, q_range, budget, seed)
+    expected = reference_lift_search(k, template, q_range, budget, seed)
+    assert report.serialize() == expected.serialize()
+
+
+def test_one_diameter_per_voltage_class():
+    # every assignment of the two templates: a class has one diameter, and
+    # the classes are the q^(darts - n + 1) net voltages of the cycles
+    for template, q_max in ((four_vertex_template(), 5), (two_vertex_template(), 13)):
+        free = template.dart_count - template.n + 1
+        for q in range(1, q_max + 1):
+            diameters = {}
+            for voltages in itertools.product(range(q), repeat=template.dart_count):
+                d = lift_diameter(template, q, voltages)
+                key = template.voltage_class(q, voltages)
+                assert diameters.setdefault(key, d) == d, (q, voltages)
+            assert len(diameters) == q**free
 
 
 def refuse_evaluation(*args):
