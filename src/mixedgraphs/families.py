@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Literal, Optional, Sequence
 
-from .core import MixedGraph, bipartition
+from .core import MixedGraph
 from .errors import (
     MalformedBaseError,
     MalformedGraphError,
@@ -409,16 +409,23 @@ def _check_cdrm(m: int, c: int, convention: str) -> None:
 class LiftTemplate:
     """A base-graph shape whose dart voltages are left free: n vertices plus
     edge and arc darts as (tail, head) pairs, with voltages (edge darts'
-    first) given per lift.  Whether a lift is well formed depends only on
-    the shape and on congruences of one or two voltages (Gross and Tucker,
-    Topological Graph Theory), so the rules are derived once, for every
-    group order, and checked before anything is built.  The base is
-    2-coloured once as well: a lift maps closed walks to closed walks of
-    the same length, so every lift of a bipartite base is bipartite.  Lift
-    vertex (b, x) gets index b*q + x.  Templates of equal shape are equal.
+    first) given per lift.  Lift vertex (b, x) gets index b*q + x.
+    Templates of equal shape are equal.
 
-    ``voltage_class(q, voltages)`` keys a lift up to isomorphism.  The
-    template fixes a spanning forest of the base, ignoring direction, once.
+    The darts are walked once, into one link table: every dart at a base
+    vertex u as (far end, dart, sign), with sign -1 when u is its head.
+    The rest is read off that table, once for every group order.  Whether
+    a lift is well formed depends only on congruences of one or two
+    voltages (Gross and Tucker, Topological Graph Theory): it is malformed
+    exactly when two links at one vertex with one far end join the same
+    lift vertices.  The steps that ``cover``, ``metrics.lift_diameter`` and
+    ``spectral.polynomial_matrix`` walk are the links less the backward
+    arc links.  A spanning forest grown on the links colours the base: it
+    is bipartite exactly when no non-tree dart joins two vertices of equal
+    depth parity, and then so is every lift, as a lift's closed walks
+    project to closed walks of the same length.
+
+    ``voltage_class(q, voltages)`` keys a lift up to isomorphism.
     Relabelling lift vertex (b, x) as (b, x - p(b)), for any shifts p, is
     an isomorphism that turns the voltage g of a dart (u, v) into
     g + p(u) - p(v); choosing p along the forest gives every tree dart
@@ -441,61 +448,39 @@ class LiftTemplate:
         self.n = n
         self.edge_darts = tuple(map(tuple, edge_darts))
         self.arc_darts = tuple(map(tuple, arc_darts))
-        heads: list[list[int]] = [[] for _ in range(n)]
-        for dart in (*self.edge_darts, *self.arc_darts):
-            if not all(0 <= v < n for v in dart):
-                raise MalformedBaseError(f"dart {dart} has an out-of-range endpoint")
-            heads[dart[0]].append(dart[1])
-        # Colouring ignores direction, so edge darts count as arcs; an arc
-        # loop makes the base non-bipartite.
-        base = MixedGraph(n, (None,) * n, tuple(map(tuple, heads)))
-        self.bipartite = bipartition(base) is not None
-        n_edges = len(self.edge_darts)
+        # Lift vertex (u, x) is joined along link (w, d, s) to (w, x + s*g_d).
+        darts = (*self.edge_darts, *self.arc_darts)
+        links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for d, (u, v) in enumerate(darts):
+            if not (0 <= u < n and 0 <= v < n):
+                raise MalformedBaseError(f"dart {(u, v)} has an out-of-range endpoint")
+            links[u].append((v, d, 1))
+            links[v].append((u, d, -1))
         # An edge loop, or two edge darts at one base vertex, gives every
         # lift vertex over it two edges or a loop, whatever the voltages.
         ends = [v for dart in self.edge_darts for v in dart]
         self.always_malformed = len(set(ends)) < len(ends)
-        # Every other malformation is (v_i + sign * v_j) % q == 0 for one
-        # rule (i, j, sign).  An arc dart paired with itself is a loop: a
-        # self-loop or a digon in the lift when twice its voltage is 0.
-        self.rules: list[tuple[int, int, int]] = []
-        for a, (u, v) in enumerate(self.arc_darts):
-            i = n_edges + a
-            for b in range(a, len(self.arc_darts)):
-                dart = self.arc_darts[b]
-                if dart == (v, u):
-                    self.rules.append((i, n_edges + b, 1))  # digon
-                if b > a and dart == (u, v):
-                    self.rules.append((i, n_edges + b, -1))  # duplicate arc
-            for e, dart in enumerate(self.edge_darts):
-                if dart == (u, v):
-                    self.rules.append((i, e, -1))  # arc along an edge
-                elif dart == (v, u):
-                    self.rules.append((i, e, 1))
-        self.arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for a, (tail, head) in enumerate(self.arc_darts):
-            self.arcs_from[tail].append((n_edges + a, head))
-        # For metrics.lift_diameter: the base's steps as (head, dart, sign),
-        # an edge dart walked both ways, and steps_from[b] indexing b's.
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(self.edge_darts):
-            out[u].append((v, e, 1))
-            out[v].append((u, e, -1))
-        for a, (u, v) in enumerate(self.arc_darts):
-            out[u].append((v, n_edges + a, 1))
+        # Otherwise links (w, d, s) and (w, e, t) at one vertex give a
+        # repeated arc, a digon or an arc along an edge (from an arc loop's
+        # two ends, a loop or a digon) when (g_d - s*t*g_e) % q == 0.
+        self.rules = {
+            (d, e, -s * t)
+            for at in links
+            for i, (w, d, s) in enumerate(at)
+            for x, e, t in at[i + 1 :]
+            if x == w
+        }
+        # steps_from[b] indexes b's steps as (head, dart, sign).
+        n_edges = len(self.edge_darts)
+        out = [[step for step in at if step[2] == 1 or step[1] < n_edges] for at in links]
         self.steps = tuple(step for steps in out for step in steps)
         ends = list(accumulate(map(len, out)))
         self.steps_from = [range(end - len(steps), end) for steps, end in zip(out, ends)]
-        # For voltage_class: a spanning forest of the base, grown breadth
-        # first from the least unreached vertex, with every dart walked both
-        # ways.  A vertex's potential p(b) is the signed sum of the tree
-        # darts' voltages on its path from the root, as {dart: coefficient},
-        # and a non-tree dart (u, v) keeps its net voltage g + p(u) - p(v).
-        darts = (*self.edge_darts, *self.arc_darts)
-        links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for d, (u, v) in enumerate(darts):
-            links[u].append((v, d, 1))
-            links[v].append((u, d, -1))
+        # For voltage_class: a spanning forest, grown breadth first from
+        # the least unreached vertex.  A vertex's potential p(b) is the
+        # signed sum of the tree darts' voltages on its path from the root,
+        # as {dart: coefficient}, and a non-tree dart (u, v) keeps its net
+        # voltage g + p(u) - p(v).
         potential: list[Optional[dict[int, int]]] = [None] * n
         tree: set[int] = set()
         for root in range(n):
@@ -516,6 +501,10 @@ class LiftTemplate:
                 net.subtract(potential[v])
                 cycles.append(tuple(sorted((i, c) for i, c in net.items() if c)))
         self.cycles = tuple(cycles)
+        # A fundamental cycle's terms are its darts, depth(u) + depth(v) + 1
+        # less twice the meeting vertex's depth: odd exactly when (u, v), an
+        # arc loop too, joins two vertices of equal depth parity.
+        self.bipartite = all(len(cycle) % 2 == 0 for cycle in self.cycles)
 
     def __repr__(self) -> str:
         return f"LiftTemplate({self.n}, {self.edge_darts}, {self.arc_darts})"
@@ -575,16 +564,18 @@ class LiftTemplate:
             # the indices of lift vertices (b, x + s) for x = 0..q-1
             return (*range(b * q + s, b * q + q), *range(b * q, b * q + s))
 
+        n_edges = len(self.edge_darts)
         partner: list[Optional[int]] = [None] * (self.n * q)
-        for e, (tail, head) in enumerate(self.edge_darts):
-            partner[tail * q : tail * q + q] = fibre(head, volts[e])
-            partner[head * q : head * q + q] = fibre(tail, -volts[e] % q)
         out_arcs: list[tuple[int, ...]] = []
-        for darts in self.arcs_from:
-            if darts:
-                out_arcs.extend(zip(*[fibre(head, volts[i]) for i, head in darts]))
-            else:
-                out_arcs.extend([()] * q)
+        for b, steps in enumerate(self.steps_from):
+            heads = []
+            for head, d, sign in map(self.steps.__getitem__, steps):
+                ends = fibre(head, sign * volts[d] % q)
+                if d < n_edges:
+                    partner[b * q : b * q + q] = ends
+                else:
+                    heads.append(ends)
+            out_arcs.extend(zip(*heads) if heads else [()] * q)
         return MixedGraph(
             n=self.n * q, edge_partner=tuple(partner), out_arcs=tuple(out_arcs)
         )

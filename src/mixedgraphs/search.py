@@ -15,10 +15,11 @@ The search rejects a malformed lift from the darts and voltages alone and
 judges the rest once per voltage class (``LiftTemplate.voltage_class``):
 two assignments of one class have isomorphic lifts, so the first candidate
 of a class decides for all of them, exactly.  It is measured with
-``metrics.lift_diameter``, which builds no graph.  The template 2-colours
-its base once; every lift of a bipartite base is bipartite, and for other
-bases the first lift of each class is built and 2-coloured.  The kept
-witnesses are built lifts, with their vertex labels attached.
+``metrics.lift_diameter``, which builds no graph.  The template colours
+its base from its spanning forest; every lift of a bipartite base is
+bipartite, and for other bases the first lift of each class is built and
+2-coloured.  The kept witnesses are built lifts, with their vertex labels
+attached.
 """
 
 from __future__ import annotations
@@ -247,25 +248,19 @@ def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:
     """Best chordal double ring on 2m vertices over all odd chords and both
     attachment conventions.
 
-    Returns (c, convention, diameter) minimizing diameter, with ties broken
-    by smaller c and then shift before reflect.  Rings are measured on
-    their voltage graphs; none is built.  Every odd chord gives an
-    isomorphic ring under a given convention (see ``cdrm``), so the chord
-    returned is always 1.  Raises UnsupportedParameterError for an odd m
-    or m < 4, as ``cdrm`` does.
+    Returns (c, convention, diameter) minimizing diameter, with shift
+    winning ties.  Every odd chord gives one voltage class, and so an
+    isomorphic ring, under a given convention (see ``cdrm``), so the scan
+    measures the voltage graph of chord 1 under each convention; none is
+    built, and the chord returned is always 1.  Raises
+    UnsupportedParameterError for an odd m or m < 4, as ``cdrm`` does.
     """
-    best: Optional[tuple[float, int, int]] = None
-    conventions: tuple[CdrmConvention, ...] = ("shift", "reflect")
-    for c in range(1, m, 2):
-        for rank, convention in enumerate(conventions):
-            d = lift_diameter(*cdrm_voltage_graph(m, c, convention))
-            key = (d, c, rank)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise UnsupportedParameterError(f"no odd chord exists for m = {m}")
-    d, c, rank = best
-    return c, conventions[rank], d
+    diameters: dict[CdrmConvention, float] = {
+        convention: lift_diameter(*cdrm_voltage_graph(m, 1, convention))
+        for convention in ("shift", "reflect")
+    }
+    convention = min(diameters, key=diameters.__getitem__)  # shift wins ties
+    return 1, convention, diameters[convention]
 
 
 # ---------------------------------------------------------------------------

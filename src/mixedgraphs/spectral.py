@@ -3,7 +3,9 @@
 The polynomial matrix of a voltage graph (template, q, voltages), the
 triple ``families.lift`` takes, collects for every ordered vertex pair the
 sum of z^voltage over connecting darts (edge darts count in both
-directions, with the reverse voltage negated).  Evaluating it at the
+directions, with the reverse voltage negated).  It is read off the
+template's steps, ``LiftTemplate.steps``, which the cover and
+``metrics.lift_diameter`` walk as well.  Evaluating it at the
 q-th roots of unity and pooling the eigenvalues gives the spectrum of the
 lifted graph's associated digraph.
 
@@ -60,12 +62,9 @@ def polynomial_matrix(
         power %= q
         cells[i][j][power] = cells[i][j].get(power, 0) + 1
 
-    n_edges = len(template.edge_darts)
-    for (tail, head), voltage in zip(template.edge_darts, voltages):
-        add(tail, head, voltage)
-        add(head, tail, -voltage)
-    for (tail, head), voltage in zip(template.arc_darts, voltages[n_edges:]):
-        add(tail, head, voltage)
+    for tail, steps in enumerate(template.steps_from):
+        for head, d, sign in map(template.steps.__getitem__, steps):
+            add(tail, head, sign * voltages[d])
     return PolynomialMatrix(
         size=template.n,
         group_order=q,

@@ -445,6 +445,59 @@ def test_lift_evaluator_matches_reference(candidate):
     assert_template_matches_reference(*candidate)
 
 
+def reference_base_bipartite(template: LiftTemplate) -> bool:
+    """Reference: the base built as a graph whose darts, edge darts too,
+    are all arcs, and 2-coloured by ``bipartition``."""
+    heads = [[] for _ in range(template.n)]
+    for tail, head in (*template.edge_darts, *template.arc_darts):
+        heads[tail].append(head)
+    base = MixedGraph(template.n, (None,) * template.n, tuple(map(tuple, heads)))
+    return bipartition(base) is not None
+
+
+def reference_rules(template: LiftTemplate) -> list[tuple[int, int, int]]:
+    """Reference: the malformation rules (i, j, sign), broken when
+    (g_i + sign * g_j) % q == 0, case by case: a digon (an arc loop with
+    itself among them), a repeated arc, and an arc along an edge."""
+    n_edges = len(template.edge_darts)
+    rules = []
+    for a, (u, v) in enumerate(template.arc_darts):
+        i = n_edges + a
+        for b in range(a, len(template.arc_darts)):
+            dart = template.arc_darts[b]
+            if dart == (v, u):
+                rules.append((i, n_edges + b, 1))  # digon
+            if b > a and dart == (u, v):
+                rules.append((i, n_edges + b, -1))  # repeated arc
+        for e, dart in enumerate(template.edge_darts):
+            if dart == (u, v):
+                rules.append((i, e, -1))  # arc along an edge
+            elif dart == (v, u):
+                rules.append((i, e, 1))
+    return rules
+
+
+@example((LiftTemplate(1, (), ((0, 0), (0, 0))), 1, (0, 0)))
+@example((LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0), (0, 1))), 1, (0, 0, 0, 0)))
+@example((LiftTemplate(3, ((2, 2),), ((0, 1), (1, 2), (2, 0))), 1, (0, 0, 0, 0)))
+@settings(max_examples=300)
+@given(lift_candidates())
+def test_template_derivations_match_the_references(candidate):
+    # the colouring and the rules read off the link table against the
+    # base's 2-colouring and the case-by-case rules
+    template = candidate[0]
+    assert template.bipartite == reference_base_bipartite(template)
+    ends = [v for dart in template.edge_darts for v in dart]
+    always_malformed = len(set(ends)) < len(ends)
+    rules = reference_rules(template)
+    for q in range(1, 5):
+        for voltages in itertools.product(range(q), repeat=template.dart_count):
+            expected = not always_malformed and all(
+                (voltages[i] + sign * voltages[j]) % q for i, j, sign in rules
+            )
+            assert template.well_formed(q, voltages) == expected, (q, voltages)
+
+
 @st.composite
 def voltage_bases(draw):
     """A voltage graph (template, q, voltages) with loops and repeated darts
@@ -483,6 +536,14 @@ def test_lift_diameter_matches_the_built_cover(voltage_graph):
 @example((LiftTemplate(2, (), ((0, 1), (1, 0))), 3, (1, 2)))  # a digon
 @example((LiftTemplate(1, (), ((0, 0),)), 4, (2,)))  # an arc loop with 2g = 0
 @example((LiftTemplate(2, ((0, 1),), ((1, 0),)), 3, (1, 2)))  # an arc against an edge
+@example((LiftTemplate(1, (), ((0, 0), (0, 0))), 4, (1, 3)))  # two arc loops: a digon
+@example((LiftTemplate(1, (), ((0, 0), (0, 0))), 5, (1, 3)))  # two arc loops, well formed
+# opposite arcs plus an edge on one pair: an arc along the edge, then none
+@example((LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0))), 5, (1, 2, 4)))
+@example((LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0))), 5, (1, 2, 2)))
+# parallel arcs in both directions: a digon, then none
+@example((LiftTemplate(2, (), ((0, 1), (0, 1), (1, 0), (1, 0))), 5, (1, 2, 3, 0)))
+@example((LiftTemplate(2, (), ((0, 1), (0, 1), (1, 0), (1, 0))), 5, (1, 2, 1, 2)))
 @settings(max_examples=500)
 @given(voltage_bases())
 def test_lift_matches_reference_lift(voltage_graph):
