@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import families, metrics, search as search_mod, spectral
@@ -27,17 +27,25 @@ from .families import BdmVertex, edge_first_pattern, path_endpoint_formula
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except MixedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, in every subcommand, raise
+    UnsupportedParameterError, so ``main`` reports them as it reports every
+    other error: one line and exit code 1, not usage lines and code 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UnsupportedParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedgraphs",
         description="Bipartite unit-degree mixed graphs: constructions, "
         "bounds, spectra, and extremal search.",

@@ -433,8 +433,8 @@ class LiftTemplate:
     non-tree dart around its fundamental cycle, is the class, so two
     assignments of one class have isomorphic lifts: equally well formed,
     equally bipartite, and of one diameter.
-    Raises MalformedBaseError for a shape without vertices or with a dart
-    endpoint out of range.
+    Raises MalformedBaseError unless n is an int >= 1 and every dart is a
+    pair of ints in 0..n-1.
     """
 
     def __init__(
@@ -443,17 +443,17 @@ class LiftTemplate:
         edge_darts: Sequence[tuple[int, int]],
         arc_darts: Sequence[tuple[int, int]],
     ) -> None:
-        if n < 1:
-            raise MalformedBaseError(f"base needs >= 1 vertex, got {n}")
+        # type() rather than isinstance(), as in core._check_vertex: True
+        # must not pass as 1.
+        if type(n) is not int or n < 1:
+            raise MalformedBaseError(f"base needs an int >= 1 of vertices, got {n!r}")
         self.n = n
-        self.edge_darts = tuple(map(tuple, edge_darts))
-        self.arc_darts = tuple(map(tuple, arc_darts))
+        self.edge_darts = _checked_darts(edge_darts, n)
+        self.arc_darts = _checked_darts(arc_darts, n)
         # Lift vertex (u, x) is joined along link (w, d, s) to (w, x + s*g_d).
         darts = (*self.edge_darts, *self.arc_darts)
         links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for d, (u, v) in enumerate(darts):
-            if not (0 <= u < n and 0 <= v < n):
-                raise MalformedBaseError(f"dart {(u, v)} has an out-of-range endpoint")
             links[u].append((v, d, 1))
             links[v].append((u, d, -1))
         # An edge loop, or two edge darts at one base vertex, gives every
@@ -580,11 +580,52 @@ class LiftTemplate:
             n=self.n * q, edge_partner=tuple(partner), out_arcs=tuple(out_arcs)
         )
 
+    def fibre_lines(
+        self, q: int, b: int, voltages: Sequence[int]
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Fibre b's lines of ``format_edge_list(self.cover(q, voltages))``,
+        for a well-formed lift: the "E" lines of the edges whose lesser end
+        lies over b, and the "A" lines of the arcs whose tail does, each in
+        the text's order.  The text is its header, then every fibre's "E"
+        lines, then every fibre's "A" lines, fibre 0 first.  They depend
+        only on the voltages of b's steps.  Voltages are taken modulo q."""
+        n_edges = len(self.edge_darts)
+        edges, arcs = [], []
+        for head, d, sign in map(self.steps.__getitem__, self.steps_from[b]):
+            # the step from lift vertex (b, x) ends at start + (x + shift) % q
+            step = (head * q, sign * voltages[d] % q)
+            if d >= n_edges:
+                arcs.append(step)
+            elif head > b:
+                edges.append(step)
+
+        def lines(kind: str, steps: list[tuple[int, int]]) -> tuple[str, ...]:
+            return tuple(
+                f"{kind} {b * q + x} {end}"
+                for x in range(q)
+                for end in sorted(start + (x + shift) % q for start, shift in steps)
+            )
+
+        return lines("E", edges), lines("A", arcs)
+
     def labelled(self, g: MixedGraph) -> MixedGraph:
         """A lift this template made, with vertex (b, x) labelled "(b,x)"."""
         q = g.n // self.n
         labels = tuple(f"({b},{x})" for b in range(self.n) for x in range(q))
         return replace(g, labels=labels)
+
+
+def _checked_darts(darts: Sequence[tuple[int, int]], n: int) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for dart in darts:
+        try:
+            u, v = dart
+        except (TypeError, ValueError):
+            raise MalformedBaseError(f"dart {dart!r} is not a (tail, head) pair") from None
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            raise MalformedBaseError(f"dart {dart!r} has an endpoint outside 0..{n - 1}")
+        pairs.append((u, v))
+    return tuple(pairs)
 
 
 def two_vertex_template() -> LiftTemplate:

@@ -18,8 +18,12 @@ of a class decides for all of them, exactly.  It is measured with
 ``metrics.lift_diameter``, which builds no graph.  The template colours
 its base from its spanning forest; every lift of a bipartite base is
 bipartite, and for other bases the first lift of each class is built and
-2-coloured.  The kept witnesses are built lifts, with their vertex labels
-attached.
+2-coloured.  The witnesses are ranked by their canonical text without
+rendering it: each fibre's lines come from ``LiftTemplate.fibre_lines``,
+once per fibre voltages and group order, and their tuple orders and
+equates lifts as the text does.  So a lift is built only for a kept
+witness, once the search is over, or for the first candidate of a class
+on a non-bipartite base.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ class SearchReport:
 
     ``witnesses`` holds representatives up to isomorphism, sorted by their
     canonical edge-list text.  ``lift_search`` keeps at most a fixed number
-    of witnesses, the first by canonical text, and classes them labelled;
+    of witnesses, the first by canonical text, ranked without building or
+    rendering a lift, and builds and classes only those, labelled;
     ``exhaustive_max_order`` classes every witness.  ``wall_time`` is
     informational only and excluded from serialization so that reruns with
     the same seed and budget serialize byte-identically.
@@ -154,14 +159,16 @@ def lift_search(
     makes every assignment of a class one with voltage 0 on the template's
     spanning forest and the class's net voltages elsewhere, so all its
     lifts are isomorphic and share the verdict of its first candidate,
-    measured by ``metrics.lift_diameter``.  A lift is built only to
-    2-colour that first candidate, when the base is not bipartite, or for
-    its canonical text, once accepted at or above the best order so far.
-    Every candidate still counts, in the same order, so the report is the
-    one a per-candidate judgement gives.  The witnesses kept
-    are the first accepted lifts by canonical text, labelled as
-    ``families.lift`` labels them.  Reports are byte-identical across
-    reruns with the same arguments.
+    measured by ``metrics.lift_diameter``.  Every candidate still counts,
+    in the same order, so the report is the one a per-candidate judgement
+    gives.  The witnesses kept are the first accepted assignments at the
+    best order of the smallest canonical texts, one per text, ranked by
+    the lines each fibre gives that text (``LiftTemplate.fibre_lines``)
+    without a lift being built.  A lift is built only for a kept witness,
+    once the search is over, labelled as ``families.lift`` labels it, or
+    to 2-colour the first candidate of a class when the base is not
+    bipartite.  Reports are byte-identical across reruns with the same
+    arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
     group order below 1, before any candidate is evaluated; the template
@@ -181,9 +188,9 @@ def lift_search(
     remaining = budget
     exhaustive = True
     best_order: Optional[int] = None
-    # canonical text -> the first lift seen with that text, for the
-    # _WITNESS_CAP smallest texts at the best order
-    kept: dict[str, MixedGraph] = {}
+    # _text_key -> the first (q, voltages) seen with that key, for the
+    # _WITNESS_CAP smallest keys at the best order
+    kept: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     for q in orders:
         if remaining <= 0:
             exhaustive = False
@@ -202,35 +209,35 @@ def lift_search(
             )
         # voltage class -> whether its lifts are bipartite of diameter <= k
         verdicts: dict[tuple[int, ...], bool] = {}
+        # fibre and its steps' voltages -> the fibre's lines, for _text_key
+        lines: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
         for voltages in assignments:
             candidates += 1
             remaining -= 1
             if not template.well_formed(q, voltages):
                 continue
-            key = template.voltage_class(q, voltages)
-            accepted = verdicts.get(key)
-            g = None
+            voltage_class = template.voltage_class(q, voltages)
+            accepted = verdicts.get(voltage_class)
             if accepted is None:
-                if not template.bipartite:
-                    g = template.cover(q, voltages)
-                accepted = verdicts[key] = (
+                g = None if template.bipartite else template.cover(q, voltages)
+                accepted = verdicts[voltage_class] = (
                     g is None or bipartition(g) is not None
                 ) and lift_diameter(template, q, voltages) <= k
             if accepted and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
                     best_order, kept = order, {}
-                if g is None:
-                    g = template.cover(q, voltages)
-                text = format_edge_list(g)
-                if text in kept:
+                key = _text_key(template, q, voltages, lines)
+                if key in kept:
                     continue
                 if len(kept) == _WITNESS_CAP:
                     worst = max(kept)
-                    if text > worst:
+                    if key > worst:
                         continue
                     del kept[worst]
-                kept[text] = g
-    witnesses = isomorphism_classes([template.labelled(g) for g in kept.values()])
+                kept[key] = (q, voltages)
+    witnesses = isomorphism_classes(
+        [template.labelled(template.cover(q, v)) for q, v in kept.values()]
+    )
     return SearchReport(
         kind="lift",
         k=k,
@@ -242,6 +249,29 @@ def lift_search(
         wall_time=time.perf_counter() - start,
         seed=seed,
     )
+
+
+def _text_key(
+    template: LiftTemplate,
+    q: int,
+    voltages: Sequence[int],
+    lines: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]],
+) -> tuple[tuple[str, ...], ...]:
+    """The lines of ``format_edge_list(template.cover(q, voltages))`` below
+    its header, for a well-formed lift: each fibre's "E" lines, then each
+    fibre's "A" lines, from ``LiftTemplate.fibre_lines``.  ``lines`` holds
+    them for one q, by fibre and its steps' voltages.  Every assignment
+    gives a fibre the same number of lines, and a newline sorts below
+    every character of a line, so over one template and q the keys order
+    and equate assignments exactly as their texts do."""
+    blocks = []
+    for b, steps in enumerate(template.steps_from):
+        at = (b, *[voltages[template.steps[i][1]] for i in steps])
+        block = lines.get(at)
+        if block is None:
+            block = lines[at] = template.fibre_lines(q, b, voltages)
+        blocks.append(block)
+    return (*(edges for edges, _ in blocks), *(arcs for _, arcs in blocks))
 
 
 def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:

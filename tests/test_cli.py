@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,23 @@ def test_search_lift_searches_a_repeated_order_once(capsys):
     assert twice == once
 
 
+def test_lift_sweep_report_matches_the_benchmark_reference(capsys):
+    # the benchmark's lift-sweep op at seed 1; the digest is its
+    # "lift-sweep" sha256 in bench/reference.json, taken with the header's
+    # seed field written as seed=SEED
+    code, out, err = run_cli(
+        capsys, "search", "lift", "--k", "6", "--template", "4",
+        "--q", "5", "--q", "7", "--budget", "20000", "--seed", "1",
+    )
+    assert (code, err) == (0, "")
+    head, sep, rest = out.partition("\n")
+    assert head.endswith(" seed=1")
+    normal = head[: -len(" seed=1")] + " seed=SEED" + sep + rest
+    assert hashlib.sha256(normal.encode("utf-8")).hexdigest() == (
+        "e76140d6cdffb4b0892b34469720b378067510f9eff431f0e9668516eef0331c"
+    )
+
+
 def test_search_cdrm_command(capsys):
     code, out, _ = run_cli(capsys, "search", "cdrm-scan", "--m", "10")
     assert code == 0
@@ -294,6 +312,35 @@ def assert_one_line_error(code, out, err):
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+LIFT_ARGV = ["search", "lift", "--k", "5", "--q", "3", "--budget", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (LIFT_ARGV + ["--seed", "1", "--template", "3"], "argument --template: invalid choice"),
+        (LIFT_ARGV, "the following arguments are required: --seed"),
+        (LIFT_ARGV + ["--seed", "1", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (LIFT_ARGV + ["--seed", "1", "--extra"], "unrecognized arguments: --extra"),
+        (["search"], "the following arguments are required"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ],
+    ids=["bad-choice", "missing-option", "bad-int", "unknown-option", "no-subcommand",
+         "bad-command"],
+)
+def test_usage_errors_are_one_line_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert message in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "lift", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 def test_analyze_missing_file_is_an_error(tmp_path, capsys):

@@ -562,8 +562,12 @@ def test_lift_templates_compare_by_shape():
 
 @pytest.mark.parametrize(
     "n, edge_darts, arc_darts",
-    [(0, (), ()), (2, ((0, 2),), ()), (2, (), ((0, 1), (-1, 0)))],
-    ids=["no-vertices", "edge-endpoint", "arc-endpoint"],
+    [(0, (), ()), (2, ((0, 2),), ()), (2, (), ((0, 1), (-1, 0))),
+     # not a pair, or not ints: True and 2.0 must not pass as 1 and 2
+     (2, ((0, 1, 1),), ()), (2, (), (5,)), (2, ((0.5, 1),), ()),
+     (2.0, ((0, 1),), ()), (True, (), ((0, 0),)), (2, (), ((True, 0),))],
+    ids=["no-vertices", "edge-endpoint", "arc-endpoint", "triple", "not-iterable",
+         "float-endpoint", "float-n", "bool-n", "bool-endpoint"],
 )
 def test_lift_template_checks_its_shape(n, edge_darts, arc_darts):
     with pytest.raises(MalformedBaseError):

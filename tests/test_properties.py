@@ -31,7 +31,7 @@ from mixedgraphs.core import _canonical_form, _iso_signatures
 from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
 from mixedgraphs.families import LiftTemplate
 from mixedgraphs.metrics import UNREACHABLE
-from mixedgraphs.search import _totally_regular_candidates
+from mixedgraphs.search import _text_key, _totally_regular_candidates
 
 
 @st.composite
@@ -614,3 +614,25 @@ def test_one_voltage_class_gives_isomorphic_lifts(case):
             assert _canonical_form(h) == form
         else:
             assert are_isomorphic(g, h)
+
+
+@st.composite
+def voltage_pairs(draw):
+    """A voltage graph from voltage_bases() and a second assignment on its
+    template and group order, sharing some of the first's voltages."""
+    template, q, voltages = draw(voltage_bases())
+    others = tuple(draw(st.just(v) | st.integers(-1, q)) for v in voltages)
+    return template, q, voltages, others
+
+
+@settings(max_examples=500)
+@given(voltage_pairs())
+def test_text_key_compares_as_the_text(case):
+    template, q, voltages, others = case
+    g, h = template.cover(q, voltages), template.cover(q, others)
+    if g is None or h is None:
+        return
+    lines = {}  # shared, as lift_search shares it over one group order
+    key, other_key = (_text_key(template, q, v, lines) for v in (voltages, others))
+    text, other_text = format_edge_list(g), format_edge_list(h)
+    assert (key < other_key, key == other_key) == (text < other_text, text == other_text)

@@ -13,6 +13,7 @@ from mixedgraphs import (
     cdrm,
     cdrm_scan,
     crm,
+    crm_voltage_graph,
     diameter,
     exhaustive_max_order,
     four_vertex_template,
@@ -305,8 +306,7 @@ def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
 def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
     # the lift-sweep search: each voltage class is judged once, on the
     # voltage graph of its first well-formed candidate, and a lift is built
-    # only for its canonical text, once it is accepted at or above the best
-    # order so far
+    # only for a kept witness, once the search is over
     built, judged = [], []
 
     def counting_cover(template, q, voltages):
@@ -334,15 +334,21 @@ def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
         first_of_class.setdefault((q, template.voltage_class(q, v)), (q, v))
     assert [(q, v) for q, v, _ in judged] == list(first_of_class.values())
     assert len(judged) <= 5**3 + 7**3
-    expected, best = [], None
+    # the reference text ranking: the first assignment of each of the
+    # _WITNESS_CAP smallest texts among the accepted lifts at the best order
+    first_of_text, best = {}, None
     for q, voltages in well_formed:
         d = lift_diameter(template, q, voltages)  # each candidate's own
         if d <= 6 and (best is None or 4 * q >= best):
-            best = max(best or 0, 4 * q)
-            expected.append((q, voltages))
+            if best is None or 4 * q > best:
+                best, first_of_text = 4 * q, {}
+            text = format_edge_list(template.cover(q, voltages))
+            first_of_text.setdefault(text, (q, voltages))
     assert best == report.best_order == 20
-    assert built == expected
-    assert len(built) == 5500
+    assert len(first_of_text) > search._WITNESS_CAP
+    expected = [first_of_text[text] for text in sorted(first_of_text)[: search._WITNESS_CAP]]
+    assert sorted(built) == sorted(expected)
+    assert len(built) == search._WITNESS_CAP
 
 
 def reference_lift_search(k, template, q_range, budget, seed):
@@ -431,6 +437,29 @@ REFERENCE_CASES = (
     + [(5, two_vertex_template(), [9, 10, 11], 700, seed) for seed in (4, 5, 6)]
     + [(4, TRIANGLE, [5, 6], 150, seed) for seed in (7, 8)]
 )
+
+
+@pytest.mark.parametrize(
+    "template, q_max",
+    [(four_vertex_template(), 5), (two_vertex_template(), 12), (TRIANGLE, 6),
+     (CDRM_LOOPS, 12), (PARALLEL, 6), (crm_voltage_graph(6, 3)[0], 12)],
+    ids=["four", "two", "triangle", "cdrm-loops", "parallel", "crm"],
+)
+def test_text_key_orders_and_equates_as_the_text(template, q_max):
+    # every well-formed assignment: lift_search ranks witnesses by the key
+    # in place of format_edge_list(cover)
+    for q in range(1, q_max + 1):
+        lines = {}
+        keys, texts = {}, {}
+        for voltages in itertools.product(range(q), repeat=template.dart_count):
+            g = template.cover(q, voltages)
+            if g is not None:
+                keys[voltages] = search._text_key(template, q, voltages, lines)
+                texts[voltages] = format_edge_list(g)
+        assert sorted(keys, key=keys.__getitem__) == sorted(texts, key=texts.__getitem__)
+        # equal keys exactly when equal texts: each determines the other
+        pairs = set(zip(keys.values(), texts.values()))
+        assert len(pairs) == len(set(keys.values())) == len(set(texts.values())), q
 
 
 @pytest.mark.parametrize(
