@@ -69,20 +69,16 @@ def improved_bound(k: int) -> int:
     Defined for k >= 3; at k = 3 the Moore bound itself is already tight.
     """
     _require(k >= 3, f"improved bound needs diameter >= 3, got {k}")
-    moore = moore_bipartite(1, 1, k)
-    if k == 3:
-        return moore
-    if k % 2 == 0:
-        half = k // 2
-        defect = _ceil_div(half, 3)
-        if half >= 3:
-            defect += sum(
-                eta(2 * t - 1) * _ceil_div(half - t + 1, 3) for t in range(2, half)
-            )
-    else:
-        half = (k - 1) // 2
-        defect = sum(eta(2 * t) * _ceil_div(half - t + 1, 3) for t in range(1, half))
-    return moore - 2 * defect
+    # odd k: the chains at even levels s = 2t, t = 1..half-1; even k: a
+    # chain of half levels plus those at odd levels s = 2t-1, t = 2..half-1
+    half = k // 2
+    defect = _ceil_div(half, 3) if k % 2 == 0 else 0
+    chains, following = 1, 1  # eta(s), eta(s+1), from s = 2
+    for s in range(2, 2 * half - 1):
+        if s % 2 != k % 2:
+            defect += chains * _ceil_div(half - (s + 1) // 2 + 1, 3)
+        chains, following = following, chains + following
+    return moore_bipartite(1, 1, k) - 2 * defect
 
 
 def crm_upper(k: int) -> int:

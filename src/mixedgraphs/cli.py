@@ -120,12 +120,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     print(f"moore({args.r},{args.z},{args.k}) = "
-          f"{bounds_mod.moore_bipartite(args.r, args.z, args.k)}")
+          f"{_decimal(bounds_mod.moore_bipartite(args.r, args.z, args.k))}")
     if args.r == 1 and args.z == 1:
         if args.k >= 3:
-            print(f"improved(k={args.k}) = {bounds_mod.improved_bound(args.k)}")
-        print(f"crm_upper(k={args.k}) = {bounds_mod.crm_upper(args.k)}")
+            print(f"improved(k={args.k}) = {_decimal(bounds_mod.improved_bound(args.k))}")
+        print(f"crm_upper(k={args.k}) = {_decimal(bounds_mod.crm_upper(args.k))}")
     return 0
+
+
+def _decimal(value: int) -> str:
+    """``str(value)``, or UnsupportedParameterError for an int of more
+    digits than the interpreter converts to text.  The limit is left as it
+    is: library callers share the interpreter."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise UnsupportedParameterError(
+            f"a bound of more than {sys.get_int_max_str_digits()} digits"
+            " is too long to print"
+        ) from exc
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

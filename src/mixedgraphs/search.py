@@ -1,12 +1,18 @@
 """Extremal searches: exhaustive small-order enumeration, randomized voltage
 lifts, and the chordal double ring scan.
 
-The exhaustive search enumerates bipartite unit-degree mixed graphs with the
-edge matching normalized to {2j, 2j+1} (colour = parity), and the class-0
-arc permutation fixed to one canonical representative per cycle type; this
-prunes the matching's stabilizer without losing isomorphism classes.
-Candidate evaluation is pure, and all reports merge in a deterministic total
-order, so results do not depend on evaluation order.
+The exhaustive search enumerates totally regular bipartite unit-degree
+mixed graphs with the edge matching normalized to {2j, 2j+1} (colour =
+parity) and the class-0 arc permutation p fixed to one canonical
+representative per cycle type.  Of the class-1 arc permutations q it keeps
+one per orbit under conjugation by the centraliser of p: relabelling
+j -> s(j) with s p = p s keeps the matching and p and turns q into
+s q s^-1, an isomorphic graph.  The member kept is the one whose arc text
+sorts first, so every isomorphism class keeps its member of least
+canonical text, and the witnesses are those of the unpruned search.  The
+general mode prunes nothing.  Candidate evaluation is pure, and all
+reports merge in a deterministic total order, so results do not depend on
+evaluation order.
 
 The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
@@ -29,6 +35,7 @@ on a non-bipartite base.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -91,9 +98,12 @@ def exhaustive_max_order(
     with witnesses.
 
     In totally regular mode edges form a perfect matching and arcs a
-    permutation crossing the bipartition; the general mode (any degrees
-    <= 1) is far larger and only sensible for tiny n.  A budget caps the
-    number of candidates evaluated; hitting it clears the exhaustive flag.
+    permutation crossing the bipartition, and the candidates are the
+    graphs ``_totally_regular_candidates`` keeps, one per orbit of the
+    centraliser of the class-0 permutation; the general mode (any degrees
+    <= 1) is far larger and only sensible for tiny n.  ``candidates``
+    counts the graphs evaluated, and a budget caps it; hitting the budget
+    clears the exhaustive flag.
     Raises UnsupportedParameterError for k < 1, an odd or too small order
     cap, or a budget below 1, before any candidate is evaluated.
     """
@@ -298,39 +308,113 @@ def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:
 # ---------------------------------------------------------------------------
 
 def _totally_regular_candidates(n: int) -> Iterator[MixedGraph]:
-    """All totally regular bipartite unit-degree graphs on n vertices, with
-    the matching normalized and the class-0 arc permutation canonical per
-    cycle type.  Every isomorphism class appears at least once."""
+    """The totally regular bipartite unit-degree graphs on n vertices with
+    the matching normalized, the class-0 arc permutation p canonical per
+    cycle type and the class-1 permutation one per orbit of the
+    centraliser of p (``_class1_representatives``).  Every isomorphism
+    class appears, with its member of least canonical text.  An exhaustive
+    search's ``candidates=`` counts these graphs and its budget bounds
+    them."""
     h = n // 2
     for p in _derangement_type_representatives(h):
-        for q in _class1_permutations(p):
+        for q in _class1_representatives(p):
             yield _matching_graph(h, p, q)
+
+
+def _class1_representatives(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The class-1 permutations q for p whose arc text sorts first among
+    their conjugates by the centraliser C(p), in order of that text.
+    Relabelling j -> s(j) for s in C(p) keeps the matching and p and turns
+    q into s q s^-1, an isomorphic graph.  The arc lines read
+    "A 2j+1 2q[j]" in order of j, so the texts compare as the tuples of
+    the ranks of q[j] in ``_text_order``; ``_class1_permutations``
+    generates q in that order too, which keeps a budgeted search at a
+    large order quick."""
+    order = _text_order(len(p))
+    rank = sorted(range(len(p)), key=order.__getitem__)  # v's index in order
+    # per s in C(p) but the identity: pick(q) = (q[s^-1(j)] per j) and
+    # ranked[v] = rank[s(v)], so that s q s^-1 has ranks ranked[pick(q)[j]]
+    conjugators = [
+        (operator.itemgetter(*sorted(range(len(p)), key=s.__getitem__)),
+         [rank[v] for v in s])
+        for s in _centraliser(p)[1:]
+    ]
+    for q in _class1_permutations(p):
+        key = tuple(map(rank.__getitem__, q))
+        if all(
+            tuple(map(ranked.__getitem__, pick(q))) >= key
+            for pick, ranked in conjugators
+        ):
+            yield q
+
+
+def _text_order(h: int) -> list[int]:
+    """0..h-1 in the order of the texts str(2v) of the arc heads 2v."""
+    return sorted(range(h), key=lambda v: str(2 * v))
+
+
+def _centraliser(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """The permutations s of 0..h-1 with s p = p s, the identity first.
+    Such an s maps each cycle of p onto one of equal length, and is fixed
+    by where it sends one element of each cycle."""
+    groups: dict[int, list[list[int]]] = {}  # cycle length -> cycles of p
+    seen = [False] * len(p)
+    for x in range(len(p)):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = p[x]
+        if cycle:
+            groups.setdefault(len(cycle), []).append(cycle)
+    # per length: every choice of the image of each cycle's first element
+    choices = [
+        [
+            list(zip(cycles, starts))
+            for images in itertools.permutations(cycles)
+            for starts in itertools.product(*images)
+        ]
+        for cycles in groups.values()
+    ]
+    centraliser = []
+    for choice in itertools.product(*choices):
+        s = [0] * len(p)
+        for cycle, y in itertools.chain.from_iterable(choice):
+            for x in cycle:
+                s[x] = y
+                y = p[y]
+        centraliser.append(tuple(s))
+    return centraliser
 
 
 def _class1_permutations(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The permutations q of 0..h-1 with q[i] != i (an arc along an edge)
     and q[i] != p^-1(i) (a digon with a class-0 arc) for every i, in
-    lexicographic order, by a backtracking that never places a forbidden
-    value.  With at most two values forbidden per position, a partial q
-    with four or more positions left always completes (Hall's theorem), so
-    dead ends lie in the last three positions."""
+    lexicographic order of their values' ranks in ``_text_order``, by a
+    backtracking that tries values in that order and never places a
+    forbidden one.  With at most two values forbidden per position, a
+    partial q with four or more positions left always completes (Hall's
+    theorem), so dead ends lie in the last three positions."""
     h = len(p)
     p_inv = sorted(range(h), key=p.__getitem__)
+    values = _text_order(h)
     q = [-1] * h
+    at = [-1] * h  # the index in values of q[i], or -1
     used = [False] * h
     i = 0
     while i >= 0:
         if q[i] >= 0:
             used[q[i]] = False
-        v = q[i] + 1
-        while v < h and (used[v] or v == i or v == p_inv[i]):
-            v += 1
-        if v == h:
-            q[i] = -1
+        r = at[i] + 1
+        while r < h and (used[values[r]] or values[r] == i or values[r] == p_inv[i]):
+            r += 1
+        if r == h:
+            q[i] = at[i] = -1
             i -= 1
             continue
-        q[i] = v
-        used[v] = True
+        at[i] = r
+        q[i] = values[r]
+        used[q[i]] = True
         if i == h - 1:
             yield tuple(q)
         else:

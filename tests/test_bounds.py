@@ -108,6 +108,30 @@ def test_improved_bound_values():
         assert improved_bound(k) == expected
 
 
+def reference_improved_bound(k: int) -> int:
+    """Reference: the per-level sum that recomputed eta(t) for every t,
+    the formula the one-pass Fibonacci running sum replaced."""
+    moore = moore_bipartite(1, 1, k)
+    if k == 3:
+        return moore
+    if k % 2 == 0:
+        half = k // 2
+        defect = -(-half // 3)
+        if half >= 3:
+            defect += sum(
+                eta(2 * t - 1) * -(-(half - t + 1) // 3) for t in range(2, half)
+            )
+    else:
+        half = (k - 1) // 2
+        defect = sum(eta(2 * t) * -(-(half - t + 1) // 3) for t in range(1, half))
+    return moore - 2 * defect
+
+
+def test_improved_bound_matches_the_per_level_reference():
+    for k in range(3, 301):
+        assert improved_bound(k) == reference_improved_bound(k)
+
+
 def test_improved_bound_below_moore():
     for k in range(3, 41):
         assert improved_bound(k) <= moore_bipartite(1, 1, k)

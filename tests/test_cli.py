@@ -26,6 +26,15 @@ def test_bounds_command(capsys):
     assert "crm_upper(k=9) = 50" in out
 
 
+def test_bounds_too_long_to_print_is_one_error_line(capsys):
+    # moore(1,1,100000) has about 20,900 digits, beyond the interpreter's
+    # default limit of 4,300 for int-to-text conversion
+    code, out, err = run_cli(capsys, "bounds", "--k", "100000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_and_analyze_round_trip(tmp_path, capsys):
     path = tmp_path / "graph.edges"
     code, _, _ = run_cli(capsys, "construct", "bdm", "--m", "5", "--out", str(path))

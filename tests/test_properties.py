@@ -31,7 +31,11 @@ from mixedgraphs.core import _canonical_form, _iso_signatures
 from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
 from mixedgraphs.families import LiftTemplate
 from mixedgraphs.metrics import UNREACHABLE
-from mixedgraphs.search import _text_key, _totally_regular_candidates
+from mixedgraphs.search import (
+    _derangement_type_representatives,
+    _matching_graph,
+    _text_key,
+)
 
 
 @st.composite
@@ -292,9 +296,29 @@ def in_form_domain(g: MixedGraph) -> bool:
     )
 
 
+def reference_class1_permutations(p):
+    """Reference: every permutation of 0..h-1 in lexicographic order,
+    filtered for an arc along an edge or a digon with a class-0 arc."""
+    h = len(p)
+    return [
+        q for q in itertools.permutations(range(h))
+        if not any(q[j] == j or q[p[j]] == j for j in range(h))
+    ]
+
+
+def reference_totally_regular_candidates(n):
+    """Reference: the unpruned generator, every class-1 permutation of
+    every canonical class-0 permutation, without the centraliser pruning
+    of ``search._totally_regular_candidates``."""
+    h = n // 2
+    for p in _derangement_type_representatives(h):
+        for q in reference_class1_permutations(p):
+            yield _matching_graph(h, p, q)
+
+
 # search candidates of finite diameter, the form's main inputs
 REGULAR_WITNESSES = [
-    g for n in range(2, 11, 2) for g in _totally_regular_candidates(n)
+    g for n in range(2, 11, 2) for g in reference_totally_regular_candidates(n)
     if diameter(g) != INFINITE
 ]
 

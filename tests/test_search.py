@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -28,13 +29,19 @@ from mixedgraphs import LiftTemplate, MixedGraph, search
 from mixedgraphs.core import _iso_signatures
 from mixedgraphs.errors import UnsupportedParameterError
 from mixedgraphs.search import (
+    _centraliser,
     _class1_permutations,
+    _class1_representatives,
     _derangement_type_representatives,
     _general_candidates,
     _sample_voltages,
-    _totally_regular_candidates,
 )
-from test_properties import assert_template_matches_reference, reference_are_isomorphic
+from test_properties import (
+    assert_template_matches_reference,
+    reference_are_isomorphic,
+    reference_class1_permutations,
+    reference_totally_regular_candidates,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +150,9 @@ def test_general_candidates_match_the_recursive_reference(n):
     assert len(ours) == {2: 4, 3: 14, 4: 193, 5: 1382}[n]
 
 
-def reference_class1_permutations(p):
-    """Reference: every permutation of 0..h-1 in lexicographic order,
-    filtered for an arc along an edge or a digon with a class-0 arc."""
-    h = len(p)
-    return [
-        q for q in itertools.permutations(range(h))
-        if not any(q[j] == j or q[p[j]] == j for j in range(h))
-    ]
+def text_key(q):
+    """The text of q's class-1 arc targets, "A 2j+1 2q[j]" in order of j."""
+    return tuple(str(2 * v) for v in q)
 
 
 @pytest.mark.parametrize("h", range(2, 9))
@@ -158,7 +160,71 @@ def test_class1_permutations_match_the_filtered_reference(h):
     types = list(_derangement_type_representatives(h))
     assert len(types) == {2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 4, 8: 7}[h]
     for p in types:
-        assert list(_class1_permutations(p)) == reference_class1_permutations(p)
+        assert list(_class1_permutations(p)) == sorted(
+            reference_class1_permutations(p), key=text_key
+        )
+
+
+def brute_force_centraliser(p):
+    return [
+        s for s in itertools.permutations(range(len(p)))
+        if all(s[p[j]] == p[s[j]] for j in range(len(p)))
+    ]
+
+
+def conjugate(s, q):
+    """s q s^-1, the class-1 permutation after relabelling j -> s(j)."""
+    out = [0] * len(q)
+    for j, v in enumerate(q):
+        out[s[j]] = s[v]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_centraliser_matches_brute_force(h):
+    for p in _derangement_type_representatives(h):
+        centraliser = _centraliser(p)
+        assert centraliser[0] == tuple(range(h))
+        assert sorted(centraliser) == brute_force_centraliser(p)
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_class1_representatives_are_the_text_least_of_each_orbit(h):
+    for p in _derangement_type_representatives(h):
+        centraliser = brute_force_centraliser(p)
+        least = {
+            min((conjugate(s, q) for s in centraliser), key=text_key)
+            for q in reference_class1_permutations(p)
+        }
+        assert list(_class1_representatives(p)) == sorted(least, key=text_key)
+
+
+def without_candidates(text):
+    return re.sub(r" candidates=\d+ ", " ", text)
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 8), (3, 10), (4, 12), (5, 14), (5, 16)])
+def test_pruned_search_reports_as_the_reference(monkeypatch, k, n_max):
+    ours = exhaustive_max_order(k, n_max).serialize()
+    monkeypatch.setattr(
+        search, "_totally_regular_candidates", reference_totally_regular_candidates
+    )
+    reference = exhaustive_max_order(k, n_max).serialize()
+    assert without_candidates(ours) == without_candidates(reference)
+
+
+@pytest.mark.parametrize("k, n_max, candidates, digest", [
+    (5, 14, 221, "eefd8388d1161f4b70834a941a99d56bdc39e4111a5f258cc849c3208af0f2e6"),
+    (4, 12, 49, "5c6d63a2cfefc2f7574b2984872b60a1f467dde0310db2ba54493e7a735136a4"),
+    (3, 8, 4, "85210eb111ccb7ca475cb17f6afba41c2351a01455ea72764ecaaf4d56e6cee4"),
+])
+def test_witness_block_is_pinned(k, n_max, candidates, digest):
+    """The witnesses below the header line are those of the unpruned
+    search, byte for byte; only the candidate count fell."""
+    report = exhaustive_max_order(k, n_max)
+    assert report.candidates == candidates
+    block = report.serialize().split("\n", 1)[1]
+    assert hashlib.sha256(block.encode()).hexdigest() == digest
 
 
 def test_exhaustive_budget_bounds_the_work_at_a_large_order():
@@ -166,6 +232,16 @@ def test_exhaustive_budget_bounds_the_work_at_a_large_order():
     report = exhaustive_max_order(4, 60, budget=10)
     assert report.candidates == 10 and not report.exhaustive
     # the unpruned generator walked 29! permutations before the first one
+    assert time.perf_counter() - start < 10
+
+
+def test_class1_generation_follows_the_orbit_check_order():
+    # q is generated in the text order the orbit check compares by; were
+    # it generated in numeric order, keeping 10 candidates at n = 40 would
+    # take more than a minute
+    start = time.perf_counter()
+    report = exhaustive_max_order(4, 40, budget=10)
+    assert report.candidates == 10 and not report.exhaustive
     assert time.perf_counter() - start < 10
 
 
@@ -189,7 +265,7 @@ def test_report_serialization_layout():
 def test_bucketed_classes_match_all_pairs_loop():
     rng = random.Random(5)
     bases = [bdm(5), crm(20, 3), crm(20, 5), cdrm(10, 3, "shift"), cdrm(10, 3, "reflect")]
-    bases += list(_totally_regular_candidates(10))[:40]
+    bases += list(reference_totally_regular_candidates(10))[:40]
     graphs = []
     for g in bases:
         for _ in range(2):
@@ -207,7 +283,7 @@ def test_bucketed_classes_match_all_pairs_loop():
 
 
 def test_order14_witnesses_class_as_the_reference_loop():
-    found = [g for g in _totally_regular_candidates(14) if diameter(g) <= 5]
+    found = [g for g in reference_totally_regular_candidates(14) if diameter(g) <= 5]
     assert len(found) == 1139
     reps = []  # all pairs, skipping only pairs the reference itself rejects
     for g in sorted(found, key=format_edge_list):
