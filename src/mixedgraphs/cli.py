@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import NoReturn, Optional, Sequence
 
@@ -118,7 +119,22 @@ def _build_parser() -> argparse.ArgumentParser:
 # Handlers
 # ---------------------------------------------------------------------------
 
+_LOG10_PHI = 0.2089  # log10 of the golden ratio, 0.20898..., rounded down
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    # With d = r + z >= 2, D(k) = M(k) - M(k-1) obeys D(k) = (d-1) D(k-1) +
+    # z D(k-2) from D(1) = 2 and D(2) = 2(d-1), so D(k) >= D(k-1) + D(k-2)
+    # and D(k) >= (d-1) D(k-1): M(k) >= D(k) >= 2 Fib(k) >= phi^(k-1) and
+    # M(k) >= 2 (d-1)^(k-1), the 2 covering the float rounding of log10.
+    # Once that lower bound has more digits than the interpreter prints,
+    # refuse before the O(k^2) recurrence; values near the limit are left
+    # to ``_decimal``.
+    limit = sys.get_int_max_str_digits()
+    if limit and min(args.r, args.z) >= 1:
+        digits_per_level = max(_LOG10_PHI, math.log10(args.r + args.z - 1))
+        if args.k - 1 >= limit / digits_per_level:  # no float of a huge k
+            raise _too_long(limit)
     print(f"moore({args.r},{args.z},{args.k}) = "
           f"{_decimal(bounds_mod.moore_bipartite(args.r, args.z, args.k))}")
     if args.r == 1 and args.z == 1:
@@ -135,10 +151,13 @@ def _decimal(value: int) -> str:
     try:
         return str(value)
     except ValueError as exc:
-        raise UnsupportedParameterError(
-            f"a bound of more than {sys.get_int_max_str_digits()} digits"
-            " is too long to print"
-        ) from exc
+        raise _too_long(sys.get_int_max_str_digits()) from exc
+
+
+def _too_long(limit: int) -> UnsupportedParameterError:
+    return UnsupportedParameterError(
+        f"a bound of more than {limit} digits is too long to print"
+    )
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

@@ -4,12 +4,14 @@ lifts, and the chordal double ring scan.
 The exhaustive search enumerates totally regular bipartite unit-degree
 mixed graphs with the edge matching normalized to {2j, 2j+1} (colour =
 parity) and the class-0 arc permutation p fixed to one canonical
-representative per cycle type.  Of the class-1 arc permutations q it keeps
-one per orbit under conjugation by the centraliser of p: relabelling
-j -> s(j) with s p = p s keeps the matching and p and turns q into
-s q s^-1, an isomorphic graph.  The member kept is the one whose arc text
-sorts first, so every isomorphism class keeps its member of least
+representative per cycle type.  Of the class-1 arc permutations q it
+generates one per orbit under conjugation by the centraliser of p:
+relabelling j -> s(j) with s p = p s keeps the matching and p and turns q
+into s q s^-1, an isomorphic graph.  The member kept is the one whose arc
+text sorts first, so every isomorphism class keeps its member of least
 canonical text, and the witnesses are those of the unpruned search.  The
+orbit check prunes partial permutations during the backtracking that
+places q, so a subtree holding no representative is never entered.  The
 general mode prunes nothing.  Candidate evaluation is pure, and all
 reports merge in a deterministic total order, so results do not depend on
 evaluation order.
@@ -35,7 +37,6 @@ on a non-bipartite base.
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -311,8 +312,9 @@ def _totally_regular_candidates(n: int) -> Iterator[MixedGraph]:
     """The totally regular bipartite unit-degree graphs on n vertices with
     the matching normalized, the class-0 arc permutation p canonical per
     cycle type and the class-1 permutation one per orbit of the
-    centraliser of p (``_class1_representatives``).  Every isomorphism
-    class appears, with its member of least canonical text.  An exhaustive
+    centraliser of p (``_class1_representatives``, which prunes the other
+    members while it generates q, not after).  Every isomorphism class
+    appears, with its member of least canonical text.  An exhaustive
     search's ``candidates=`` counts these graphs and its budget bounds
     them."""
     h = n // 2
@@ -327,25 +329,77 @@ def _class1_representatives(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
     Relabelling j -> s(j) for s in C(p) keeps the matching and p and turns
     q into s q s^-1, an isomorphic graph.  The arc lines read
     "A 2j+1 2q[j]" in order of j, so the texts compare as the tuples of
-    the ranks of q[j] in ``_text_order``; ``_class1_permutations``
-    generates q in that order too, which keeps a budgeted search at a
-    large order quick."""
-    order = _text_order(len(p))
-    rank = sorted(range(len(p)), key=order.__getitem__)  # v's index in order
-    # per s in C(p) but the identity: pick(q) = (q[s^-1(j)] per j) and
-    # ranked[v] = rank[s(v)], so that s q s^-1 has ranks ranked[pick(q)[j]]
-    conjugators = [
-        (operator.itemgetter(*sorted(range(len(p)), key=s.__getitem__)),
-         [rank[v] for v in s])
+    the ranks of q[j] in ``_text_order``.
+
+    A backtracking places q[0], q[1], ... trying values in that rank
+    order, never a forbidden one: q[i] = i is an arc along an edge and
+    q[i] = p^-1(i) a digon with a class-0 arc.  The orbit check runs
+    during generation (orderly generation, Read 1978): after each
+    placement every conjugate still tied with q is compared on the
+    positions whose entry it already determines, in order of j.  One that
+    sorts below prunes the value, since no completion is then least in
+    its orbit; one that sorts above is dropped for the subtree; a tie, or
+    a position it does not determine yet, keeps it.  At the last position
+    every entry is determined, so the yielded q are exactly the least of
+    their orbits, in text order."""
+    h = len(p)
+    p_inv = sorted(range(h), key=p.__getitem__)
+    values = _text_order(h)
+    rank = sorted(range(h), key=values.__getitem__)  # v's index in values
+    # per s in C(p) but the identity: (s^-1, v -> rank[s(v)], t) with the
+    # conjugate c = s q s^-1 tied with q before position t; c[j] is
+    # s(q[s^-1(j)]), determined once position s^-1(j) is placed
+    tied: list = [None] * (h + 1)
+    tied[0] = [
+        (sorted(range(h), key=s.__getitem__), [rank[v] for v in s], 0)
         for s in _centraliser(p)[1:]
     ]
-    for q in _class1_permutations(p):
-        key = tuple(map(rank.__getitem__, q))
-        if all(
-            tuple(map(ranked.__getitem__, pick(q))) >= key
-            for pick, ranked in conjugators
-        ):
-            yield q
+    q = [-1] * h
+    at = [-1] * h  # the index in values of q[i], or -1
+    used = [False] * h
+    i = 0
+    while i >= 0:
+        if q[i] >= 0:
+            used[q[i]] = False
+        r = at[i] + 1
+        kept = None
+        while r < h:
+            v = values[r]
+            if not (used[v] or v == i or v == p_inv[i]):
+                q[i] = v
+                kept = _still_tied(tied[i], q, i, rank)
+                if kept is not None:
+                    break
+            r += 1
+        if kept is None:
+            q[i] = at[i] = -1
+            i -= 1
+            continue
+        at[i] = r
+        used[q[i]] = True
+        if i == h - 1:
+            yield tuple(q)
+        else:
+            tied[i + 1] = kept
+            i += 1
+
+
+def _still_tied(tied: list, q: list[int], i: int, rank: list[int]) -> Optional[list]:
+    """The conjugates of ``tied`` still tied with q once q[i] is placed,
+    each with its first undecided position, or None when one of them
+    sorts below q."""
+    kept = []
+    for s_inv, ranked, t in tied:
+        while t <= i and s_inv[t] <= i:
+            d = ranked[q[s_inv[t]]] - rank[q[t]]
+            if d < 0:
+                return None
+            if d:
+                break  # sorts above q, whatever the completion
+            t += 1
+        else:
+            kept.append((s_inv, ranked, t))
+    return kept
 
 
 def _text_order(h: int) -> list[int]:
@@ -385,40 +439,6 @@ def _centraliser(p: Sequence[int]) -> list[tuple[int, ...]]:
                 y = p[y]
         centraliser.append(tuple(s))
     return centraliser
-
-
-def _class1_permutations(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The permutations q of 0..h-1 with q[i] != i (an arc along an edge)
-    and q[i] != p^-1(i) (a digon with a class-0 arc) for every i, in
-    lexicographic order of their values' ranks in ``_text_order``, by a
-    backtracking that tries values in that order and never places a
-    forbidden one.  With at most two values forbidden per position, a
-    partial q with four or more positions left always completes (Hall's
-    theorem), so dead ends lie in the last three positions."""
-    h = len(p)
-    p_inv = sorted(range(h), key=p.__getitem__)
-    values = _text_order(h)
-    q = [-1] * h
-    at = [-1] * h  # the index in values of q[i], or -1
-    used = [False] * h
-    i = 0
-    while i >= 0:
-        if q[i] >= 0:
-            used[q[i]] = False
-        r = at[i] + 1
-        while r < h and (used[values[r]] or values[r] == i or values[r] == p_inv[i]):
-            r += 1
-        if r == h:
-            q[i] = at[i] = -1
-            i -= 1
-            continue
-        at[i] = r
-        q[i] = values[r]
-        used[q[i]] = True
-        if i == h - 1:
-            yield tuple(q)
-        else:
-            i += 1
 
 
 def _matching_graph(h: int, p: Sequence[int], q: Sequence[int]) -> MixedGraph:

@@ -132,6 +132,18 @@ def test_improved_bound_matches_the_per_level_reference():
         assert improved_bound(k) == reference_improved_bound(k)
 
 
+def test_moore_lower_bounds_hold():
+    # M(k) >= 2 Fib(k) >= phi^(k-1) and M(k) >= 2 (r+z-1)^(k-1), the bounds
+    # that let the CLI refuse an unprintable value before computing it
+    for r in range(1, 6):
+        for z in range(1, 6):
+            fib, following = 1, 1  # Fib(k), Fib(k+1)
+            for k in range(1, 150):
+                moore = moore_bipartite(r, z, k)
+                assert moore >= 2 * fib and moore >= 2 * (r + z - 1) ** (k - 1)
+                fib, following = following, fib + following
+
+
 def test_improved_bound_below_moore():
     for k in range(3, 41):
         assert improved_bound(k) <= moore_bipartite(1, 1, k)

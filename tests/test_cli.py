@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import sys
+import time
 
 import pytest
 
-from mixedgraphs import bdm, diameter, families, format_edge_list, parse_edge_list
+from mixedgraphs import (
+    bdm, diameter, families, format_edge_list, moore_bipartite, parse_edge_list,
+)
 from mixedgraphs.cli import graph_from_json, graph_to_dot, graph_to_json, main
 from mixedgraphs.errors import MalformedGraphError
 from test_search import refuse_evaluation
@@ -33,6 +38,43 @@ def test_bounds_too_long_to_print_is_one_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def too_long_line():
+    limit = sys.get_int_max_str_digits()
+    return f"error: a bound of more than {limit} digits is too long to print\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "1000000"),
+    ("--r", "1000000000", "--z", "1000000000", "--k", "20000"),
+    ("--k", "1" + "0" * 400),
+])
+def test_bounds_refuses_before_computing(capsys, argv):
+    # the recurrence alone takes seconds on the first two, forever on the last
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", too_long_line())
+
+
+@pytest.mark.parametrize("r, z", list(itertools.product((1, 2, 3), repeat=2)))
+def test_bounds_prints_up_to_the_largest_printable_k(capsys, r, z):
+    cap = 10 ** sys.get_int_max_str_digits()  # the least unprintable value
+    printable, unprintable = 1, 2
+    while moore_bipartite(r, z, unprintable) < cap:
+        printable, unprintable = unprintable, 2 * unprintable
+    while unprintable - printable > 1:
+        mid = (printable + unprintable) // 2
+        if moore_bipartite(r, z, mid) < cap:
+            printable = mid
+        else:
+            unprintable = mid
+    code, out, _ = run_cli(capsys, "bounds", "--r", str(r), "--z", str(z), "--k", str(printable))
+    assert code == 0
+    assert out.startswith(f"moore({r},{z},{printable}) = {moore_bipartite(r, z, printable)}\n")
+    code, out, err = run_cli(capsys, "bounds", "--r", str(r), "--z", str(z), "--k", str(unprintable))
+    assert (code, out, err) == (1, "", too_long_line())
 
 
 def test_construct_and_analyze_round_trip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 
 import pytest
@@ -32,9 +33,11 @@ from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
 from mixedgraphs.families import LiftTemplate
 from mixedgraphs.metrics import UNREACHABLE
 from mixedgraphs.search import (
+    _centraliser,
     _derangement_type_representatives,
     _matching_graph,
     _text_key,
+    _text_order,
 )
 
 
@@ -304,6 +307,105 @@ def reference_class1_permutations(p):
         q for q in itertools.permutations(range(h))
         if not any(q[j] == j or q[p[j]] == j for j in range(h))
     ]
+
+
+def reference_class1_backtracking(p):
+    """Reference: the class-1 permutations q for p, in lexicographic order
+    of their values' ranks in ``search._text_order``, by a backtracking
+    that tries values in that order and never places a forbidden one (the
+    generator of the exhaustive search before it pruned by orbits)."""
+    h = len(p)
+    p_inv = sorted(range(h), key=p.__getitem__)
+    values = _text_order(h)
+    q = [-1] * h
+    at = [-1] * h  # the index in values of q[i], or -1
+    used = [False] * h
+    i = 0
+    while i >= 0:
+        if q[i] >= 0:
+            used[q[i]] = False
+        r = at[i] + 1
+        while r < h and (used[values[r]] or values[r] == i or values[r] == p_inv[i]):
+            r += 1
+        if r == h:
+            q[i] = at[i] = -1
+            i -= 1
+            continue
+        at[i] = r
+        q[i] = values[r]
+        used[q[i]] = True
+        if i == h - 1:
+            yield tuple(q)
+        else:
+            i += 1
+
+
+def reference_class1_representatives(p):
+    """Reference: every q of ``reference_class1_backtracking`` that no
+    conjugate s q s^-1 by the centraliser of p sorts below by text, the
+    check made after each q is complete."""
+    order = _text_order(len(p))
+    rank = sorted(range(len(p)), key=order.__getitem__)  # v's index in order
+    # per s in C(p) but the identity: pick(q) = (q[s^-1(j)] per j) and
+    # ranked[v] = rank[s(v)], so that s q s^-1 has ranks ranked[pick(q)[j]]
+    conjugators = [
+        (operator.itemgetter(*sorted(range(len(p)), key=s.__getitem__)),
+         [rank[v] for v in s])
+        for s in _centraliser(p)[1:]
+    ]
+    for q in reference_class1_backtracking(p):
+        key = tuple(map(rank.__getitem__, q))
+        if all(
+            tuple(map(ranked.__getitem__, pick(q))) >= key
+            for pick, ranked in conjugators
+        ):
+            yield q
+
+
+def reference_class1_orbit_count(p):
+    """Reference: the number of orbits of the centraliser C(p) on the
+    class-1 permutations q for p, by Burnside's lemma.  A q fixed by
+    conjugation by s commutes with s, so it maps each cycle of s onto one
+    of equal length, fixed by the image of the cycle's first element;
+    those choices are counted cycle by cycle over the set of used targets."""
+    h = len(p)
+    p_inv = sorted(range(h), key=p.__getitem__)
+    total = 0
+    centraliser = _centraliser(p)
+    for s in centraliser:
+        cycles, seen = [], [False] * h
+        for x in range(h):
+            cycle = []
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = s[x]
+            if cycle:
+                cycles.append(cycle)
+        targets = [  # per cycle of s: each cycle b it may map onto, per start
+            [
+                b
+                for b, target in enumerate(cycles)
+                if len(target) == len(source)
+                for start in range(len(source))
+                if all(
+                    target[(start + t) % len(source)] not in (x, p_inv[x])
+                    for t, x in enumerate(source)
+                )
+            ]
+            for source in cycles
+        ]
+        counts = {0: 1}  # set of used target cycles -> ways
+        for options in targets:
+            following: dict[int, int] = {}
+            for used, ways in counts.items():
+                for b in options:
+                    if not used >> b & 1:
+                        following[used | 1 << b] = following.get(used | 1 << b, 0) + ways
+            counts = following
+        total += sum(counts.values())
+    assert total % len(centraliser) == 0
+    return total // len(centraliser)
 
 
 def reference_totally_regular_candidates(n):

@@ -30,7 +30,6 @@ from mixedgraphs.core import _iso_signatures
 from mixedgraphs.errors import UnsupportedParameterError
 from mixedgraphs.search import (
     _centraliser,
-    _class1_permutations,
     _class1_representatives,
     _derangement_type_representatives,
     _general_candidates,
@@ -39,7 +38,10 @@ from mixedgraphs.search import (
 from test_properties import (
     assert_template_matches_reference,
     reference_are_isomorphic,
+    reference_class1_backtracking,
+    reference_class1_orbit_count,
     reference_class1_permutations,
+    reference_class1_representatives,
     reference_totally_regular_candidates,
 )
 
@@ -160,7 +162,7 @@ def test_class1_permutations_match_the_filtered_reference(h):
     types = list(_derangement_type_representatives(h))
     assert len(types) == {2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 4, 8: 7}[h]
     for p in types:
-        assert list(_class1_permutations(p)) == sorted(
+        assert list(reference_class1_backtracking(p)) == sorted(
             reference_class1_permutations(p), key=text_key
         )
 
@@ -197,6 +199,38 @@ def test_class1_representatives_are_the_text_least_of_each_orbit(h):
             for q in reference_class1_permutations(p)
         }
         assert list(_class1_representatives(p)) == sorted(least, key=text_key)
+
+
+@pytest.mark.parametrize("h", range(2, 9))
+def test_class1_representatives_match_the_post_filter_reference(h):
+    for p in _derangement_type_representatives(h):
+        assert list(_class1_representatives(p)) == list(
+            reference_class1_representatives(p)
+        )
+
+
+@pytest.mark.parametrize("h", range(2, 10))
+def test_class1_representatives_one_per_orbit_by_burnside(h):
+    for p in _derangement_type_representatives(h):
+        assert sum(1 for _ in _class1_representatives(p)) == (
+            reference_class1_orbit_count(p)
+        )
+
+
+def test_class1_representative_counts_are_pinned_and_quick():
+    # the orbit check prunes partial permutations; checking every complete
+    # permutation after the fact took about 46 s at h = 10
+    start = time.perf_counter()
+    counts = [
+        sum(
+            1
+            for p in _derangement_type_representatives(h)
+            for _ in _class1_representatives(p)
+        )
+        for h in (7, 8, 9, 10)
+    ]
+    assert counts == [221, 1854, 16085, 162959]
+    assert time.perf_counter() - start < 15
 
 
 def without_candidates(text):
