@@ -9,6 +9,7 @@ exports.  The JSON form re-parses; DOT is write-only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise UnsupportedParameterError(message)
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mixedgraphs",

@@ -84,15 +84,16 @@ def _doubled(m: int, swap_from: int) -> MixedGraph:
     (alpha,i)_0 ~ (alpha,i)_1 and one arc out of each vertex, to
     (1-alpha, _doubling_head(alpha, i, t, m))_(1-beta) with t = beta for
     i < swap_from and t = 1 - beta otherwise."""
-    edges, arcs, labels = [], [], []
-    for v in range(4 * m):
-        x = BdmVertex.from_index(v, m)
-        t = x.beta if x.i < swap_from else 1 - x.beta
-        head = BdmVertex(1 - x.alpha, _doubling_head(x.alpha, x.i, t, m), 1 - x.beta)
-        arcs.append((v, head.index(m)))
-        if x.beta == 0:
-            edges.append((v, BdmVertex(x.alpha, x.i, 1).index(m)))
-        labels.append(x.label())
+    edges = [(v, v + 2 * m) for v in range(2 * m)]
+    arcs, labels = [], []
+    for beta in (0, 1):
+        for alpha in (0, 1):
+            tail = 2 * m * beta + m * alpha  # (alpha, 0)_beta
+            head = 2 * m * (1 - beta) + m * (1 - alpha)  # (1-alpha, 0)_(1-beta)
+            for i in range(m):
+                t = beta if i < swap_from else 1 - beta
+                arcs.append((tail + i, head + _doubling_head(alpha, i, t, m)))
+                labels.append(f"({alpha},{i})_{beta}")
     return MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
 
 

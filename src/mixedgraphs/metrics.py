@@ -5,11 +5,13 @@ both directions, arcs only forward.  Everything here reads the rounds of the
 one distance kernel, ``core.ball_rounds``, which grows every vertex's ball as
 a bitset, one distance per round: a vertex's eccentricity is the first round
 in which its ball is full, and a distance is the round in which its bit first
-appears.  In-eccentricities run the kernel on the predecessor lists, and
-``lift_diameter`` runs it on one vertex per fibre of a voltage graph's
-cover.  Unreachable pairs are marked with ``UNREACHABLE`` in distance rows;
-aggregate quantities over unreachable pairs become ``INFINITE`` so callers
-can filter candidates cheaply instead of handling errors.
+appears.  A vertex's in-eccentricity is the first round in which it lies
+in every ball, so one run on the successor lists gives both, and
+``lift_diameter`` runs the kernel on one vertex per fibre of a voltage
+graph's cover.  Unreachable pairs are marked with ``UNREACHABLE`` in
+distance rows; aggregate quantities over unreachable pairs become
+``INFINITE`` so callers can filter candidates cheaply instead of handling
+errors.
 """
 
 from __future__ import annotations
@@ -143,11 +145,39 @@ def _last_round(
 
 
 def eccentricity_report(g: MixedGraph) -> EccentricityReport:
-    """Exact out/in eccentricities, diameter, radii, and central vertices."""
-    if g.n == 0:
+    """Exact out/in eccentricities, diameter, radii, and central vertices,
+    from one run of the kernel on the successor lists.
+
+    A vertex's out-eccentricity is the first round in which its ball is
+    full.  Its in-eccentricity, the largest distance to it, is the first
+    round in which it lies in every ball: ``common``, the AND of the balls,
+    gains it then.  A ball that stalled before filling stays in the AND,
+    so a vertex missing from it keeps INFINITE; full balls change nothing
+    and are dropped."""
+    n = g.n
+    if n == 0:
         return EccentricityReport((), (), 0, 0, 0, (), ())
-    ecc_out = _eccentricities(g.successors())
-    ecc_in = _eccentricities(g.predecessors())
+    full = (1 << n) - 1
+    ecc_out: list[Eccentricity] = [INFINITE] * n
+    ecc_in: list[Eccentricity] = [INFINITE] * n
+    pending = range(n)  # vertices whose ball was not full last round
+    common = 0
+    for d, (balls, _) in enumerate(ball_rounds(g.successors())):
+        now, unfilled = full, []
+        for v in pending:
+            ball = balls[v]
+            if ball == full:
+                ecc_out[v] = d
+            else:
+                now &= ball
+                unfilled.append(v)
+        pending = unfilled
+        bits = format(now & ~common, "b")[::-1]
+        v = bits.find("1")
+        while v >= 0:
+            ecc_in[v] = d
+            v = bits.find("1", v + 1)
+        common = now
     out_radius = min(ecc_out)
     in_radius = min(ecc_in)
     return EccentricityReport(
@@ -156,18 +186,6 @@ def eccentricity_report(g: MixedGraph) -> EccentricityReport:
         diameter=max(ecc_out),
         out_radius=out_radius,
         in_radius=in_radius,
-        out_central=tuple(v for v in range(g.n) if ecc_out[v] == out_radius),
-        in_central=tuple(v for v in range(g.n) if ecc_in[v] == in_radius),
+        out_central=tuple(v for v in range(n) if ecc_out[v] == out_radius),
+        in_central=tuple(v for v in range(n) if ecc_in[v] == in_radius),
     )
-
-
-def _eccentricities(adj: list[list[int]]) -> list[Eccentricity]:
-    """Each vertex's eccentricity along adj: the first round in which its
-    ball is full, or INFINITE if it never fills."""
-    full = (1 << len(adj)) - 1
-    ecc: list[Eccentricity] = [INFINITE] * len(adj)
-    for d, (balls, grown) in enumerate(ball_rounds(adj)):
-        for v in grown:
-            if balls[v] == full:
-                ecc[v] = d
-    return ecc

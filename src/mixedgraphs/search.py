@@ -442,10 +442,14 @@ def _centraliser(p: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _matching_graph(h: int, p: Sequence[int], q: Sequence[int]) -> MixedGraph:
-    edges = [(2 * j, 2 * j + 1) for j in range(h)]
-    arcs = [(2 * j, 2 * p[j] + 1) for j in range(h)]
-    arcs += [(2 * j + 1, 2 * q[j]) for j in range(h)]
-    return MixedGraph.build(2 * h, edges=edges, arcs=arcs)
+    """The graph on 2h vertices with the edges {2j, 2j+1} and the arcs
+    2j -> 2p[j]+1 and 2j+1 -> 2q[j], built without ``MixedGraph.build``'s
+    checks: for permutations p and q every id is in range, the matching
+    has no loop or clash, and each vertex has one arc."""
+    out_arcs: list[tuple[int, ...]] = []
+    for j in range(h):
+        out_arcs += [(2 * p[j] + 1,), (2 * q[j],)]
+    return MixedGraph(2 * h, tuple(v ^ 1 for v in range(2 * h)), tuple(out_arcs))
 
 
 def _derangement_type_representatives(h: int) -> Iterator[tuple[int, ...]]:

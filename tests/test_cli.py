@@ -10,7 +10,7 @@ import time
 import pytest
 
 from mixedgraphs import (
-    bdm, diameter, families, format_edge_list, moore_bipartite, parse_edge_list,
+    bdm, cli, diameter, families, format_edge_list, moore_bipartite, parse_edge_list,
 )
 from mixedgraphs.cli import graph_from_json, graph_to_dot, graph_to_json, main
 from mixedgraphs.errors import MalformedGraphError
@@ -385,6 +385,28 @@ def test_usage_errors_are_one_line_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert_one_line_error(code, out, err)
     assert message in err
+
+
+LIFT_Q_ARGV = ["search", "lift", "--k", "6", "--template", "4", "--budget", "2000",
+               "--seed", "1"]
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the reports of fresh parsers, as separate processes would build
+    fresh = {}
+    for qs in (("5", "7"), ("5",)):
+        cli._build_parser.cache_clear()
+        fresh[qs] = run_cli(capsys, *LIFT_Q_ARGV, *[x for q in qs for x in ("--q", q)])
+    assert fresh[("5", "7")] != fresh[("5",)]
+    # one parser in turn: the --q list of one call does not leak into the next
+    assert cli._build_parser() is cli._build_parser()
+    assert run_cli(capsys, *LIFT_Q_ARGV, "--q", "5", "--q", "7") == fresh[("5", "7")]
+    assert run_cli(capsys, *LIFT_Q_ARGV, "--q", "5") == fresh[("5",)]
+    # a usage error leaves the parser fit for the next command
+    assert_one_line_error(*run_cli(capsys, *LIFT_Q_ARGV, "--q", "x"))
+    code, out, err = run_cli(capsys, "bounds", "--k", "9")
+    assert (code, err) == (0, "")
+    assert "moore(1,1,9) = 176" in out
 
 
 def test_help_still_exits_0(capsys):

@@ -37,6 +37,7 @@ from mixedgraphs.errors import (
     UnsupportedParameterError,
 )
 from mixedgraphs.families import (
+    _doubling_head,
     arc_first_pattern,
     automorphism_permutation,
     double_arc_pattern,
@@ -225,6 +226,32 @@ def test_doubling_rule_matches_the_written_out_constructions():
         assert bd_digraph(m) == reference_bd_digraph(m)
     for m in (10, 20, 40, 80, 160, 320, 640):
         assert bdm_star(m) == reference_bdm_star(m)
+
+
+def reference_doubled(m, swap_from):
+    """Reference: the doubling rule applied vertex by vertex through
+    BdmVertex coordinates, as families._doubled did before it computed the
+    indices arithmetically."""
+    edges, arcs, labels = [], [], []
+    for v in range(4 * m):
+        x = BdmVertex.from_index(v, m)
+        t = x.beta if x.i < swap_from else 1 - x.beta
+        head = BdmVertex(1 - x.alpha, _doubling_head(x.alpha, x.i, t, m), 1 - x.beta)
+        arcs.append((v, head.index(m)))
+        if x.beta == 0:
+            edges.append((v, BdmVertex(x.alpha, x.i, 1).index(m)))
+        labels.append(x.label())
+    return MixedGraph.build(4 * m, edges=edges, arcs=arcs, labels=labels)
+
+
+def test_doubling_matches_the_coordinate_reference():
+    for m in range(2, 41):
+        assert bdm(m) == reference_doubled(m, m)
+    for n in range(3, 10):
+        m, g = bdm_canonical(n)
+        assert g == reference_doubled(m, m)
+    for m in (10, 20, 40, 80):
+        assert bdm_star(m) == reference_doubled(m, m // 2)
 
 
 # ---------------------------------------------------------------------------

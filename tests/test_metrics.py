@@ -21,6 +21,8 @@ from mixedgraphs import (
     lift_diameter,
     two_vertex_template,
 )
+from mixedgraphs import metrics
+from mixedgraphs.core import ball_rounds
 from mixedgraphs.errors import MalformedBaseError, UnsupportedParameterError
 from mixedgraphs.families import BdmVertex
 
@@ -106,6 +108,26 @@ def test_central_vertices_attain_radius():
         assert report.ecc_out[v] == report.out_radius
     for v in report.in_central:
         assert report.ecc_in[v] == report.in_radius
+
+
+def test_report_runs_the_kernel_once(monkeypatch):
+    runs = []
+
+    def counting_ball_rounds(adj, *args):
+        runs.append(adj)
+        return ball_rounds(adj, *args)
+
+    monkeypatch.setattr(metrics, "ball_rounds", counting_ball_rounds)
+    graphs = [
+        MixedGraph.build(1),
+        MixedGraph.build(3, arcs=[(0, 1), (1, 0), (1, 2)]),  # not strongly connected
+        crm(8, 3),
+        bdm(10),
+    ]
+    for count, g in enumerate(graphs, 1):
+        eccentricity_report(g)
+        assert len(runs) == count
+        assert runs[-1] == g.successors()
 
 
 # ---------------------------------------------------------------------------

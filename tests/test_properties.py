@@ -28,14 +28,13 @@ from mixedgraphs import (
     validate_and_profile,
     verify_automorphism,
 )
-from mixedgraphs.core import _canonical_form, _iso_signatures
+from mixedgraphs.core import _canonical_form, _iso_signatures, ball_rounds
 from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
 from mixedgraphs.families import LiftTemplate
 from mixedgraphs.metrics import UNREACHABLE
 from mixedgraphs.search import (
     _centraliser,
     _derangement_type_representatives,
-    _matching_graph,
     _text_key,
     _text_order,
 )
@@ -408,6 +407,15 @@ def reference_class1_orbit_count(p):
     return total // len(centraliser)
 
 
+def reference_matching_graph(h, p, q) -> MixedGraph:
+    """Reference: ``search._matching_graph`` through ``MixedGraph.build``
+    and its checks."""
+    edges = [(2 * j, 2 * j + 1) for j in range(h)]
+    arcs = [(2 * j, 2 * p[j] + 1) for j in range(h)]
+    arcs += [(2 * j + 1, 2 * q[j]) for j in range(h)]
+    return MixedGraph.build(2 * h, edges=edges, arcs=arcs)
+
+
 def reference_totally_regular_candidates(n):
     """Reference: the unpruned generator, every class-1 permutation of
     every canonical class-0 permutation, without the centraliser pruning
@@ -415,7 +423,7 @@ def reference_totally_regular_candidates(n):
     h = n // 2
     for p in _derangement_type_representatives(h):
         for q in reference_class1_permutations(p):
-            yield _matching_graph(h, p, q)
+            yield reference_matching_graph(h, p, q)
 
 
 # search candidates of finite diameter, the form's main inputs
@@ -482,6 +490,53 @@ def test_reaching_root_without_strong_connectivity_takes_one_path():
     forms = {_canonical_form(h) for h in relabellings}
     assert len(forms) == 1 and None not in forms
     assert isomorphism_classes(relabellings) == [min(relabellings, key=format_edge_list)]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass eccentricity report against the two-pass one it replaced
+# ---------------------------------------------------------------------------
+
+def reference_eccentricities(adj: list[list[int]]) -> list:
+    """Each vertex's eccentricity along adj: the first round of the kernel
+    in which its ball is full, or INFINITE if it never fills."""
+    full = (1 << len(adj)) - 1
+    ecc = [INFINITE] * len(adj)
+    for d, (balls, grown) in enumerate(ball_rounds(adj)):
+        for v in grown:
+            if balls[v] == full:
+                ecc[v] = d
+    return ecc
+
+
+def reference_eccentricity_report(g: MixedGraph) -> EccentricityReport:
+    """Reference: the kernel once on the successor lists for the
+    out-eccentricities and once more on the predecessor lists for the
+    in-eccentricities."""
+    if g.n == 0:
+        return EccentricityReport((), (), 0, 0, 0, (), ())
+    ecc_out = reference_eccentricities(g.successors())
+    ecc_in = reference_eccentricities(g.predecessors())
+    out_radius, in_radius = min(ecc_out), min(ecc_in)
+    return EccentricityReport(
+        ecc_out=tuple(ecc_out),
+        ecc_in=tuple(ecc_in),
+        diameter=max(ecc_out),
+        out_radius=out_radius,
+        in_radius=in_radius,
+        out_central=tuple(v for v in range(g.n) if ecc_out[v] == out_radius),
+        in_central=tuple(v for v in range(g.n) if ecc_in[v] == in_radius),
+    )
+
+
+@example(MixedGraph.build(0))
+@example(MixedGraph.build(1))
+@example(MixedGraph.build(4))  # four isolated vertices
+@example(MixedGraph.build(4, edges=[(0, 1)], arcs=[(1, 2)]))  # vertex 3 isolated, 2 a sink
+@example(MixedGraph.build(3, arcs=[(0, 1), (1, 0), (1, 2)]))
+@settings(max_examples=300)
+@given(st.one_of(mixed_graphs(), strongly_connected_graphs()))
+def test_eccentricity_report_matches_the_two_pass_reference(g):
+    assert eccentricity_report(g) == reference_eccentricity_report(g)
 
 
 # ---------------------------------------------------------------------------

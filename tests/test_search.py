@@ -33,6 +33,7 @@ from mixedgraphs.search import (
     _class1_representatives,
     _derangement_type_representatives,
     _general_candidates,
+    _matching_graph,
     _sample_voltages,
 )
 from test_properties import (
@@ -42,6 +43,7 @@ from test_properties import (
     reference_class1_orbit_count,
     reference_class1_permutations,
     reference_class1_representatives,
+    reference_matching_graph,
     reference_totally_regular_candidates,
 )
 
@@ -259,6 +261,16 @@ def test_witness_block_is_pinned(k, n_max, candidates, digest):
     assert report.candidates == candidates
     block = report.serialize().split("\n", 1)[1]
     assert hashlib.sha256(block.encode()).hexdigest() == digest
+
+
+def test_matching_graph_equals_the_built_graph():
+    count = 0
+    for h in range(1, 7):
+        for p in _derangement_type_representatives(h):
+            for q in reference_class1_permutations(p):
+                assert _matching_graph(h, p, q) == reference_matching_graph(h, p, q)
+                count += 1
+    assert count == 1 + 6 + 25 + 322  # n = 6, 8, 10, 12
 
 
 def test_exhaustive_budget_bounds_the_work_at_a_large_order():
