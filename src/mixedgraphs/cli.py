@@ -166,8 +166,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     g = _construct_graph(args)
     text = _render(g, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise MixedGraphError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

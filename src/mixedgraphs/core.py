@@ -8,6 +8,7 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -39,12 +40,13 @@ class MixedGraph:
     ) -> "MixedGraph":
         """Construct a graph from edge and arc lists, checking structure.
 
-        Raises MalformedGraphError for out-of-range ids, self-loops, a vertex
-        with two edges, or duplicate edges/arcs.  Digons and arc/edge parallel
-        pairs are representable; ``validate_and_profile`` rejects them.
+        Raises MalformedGraphError for a vertex count outside 0..sys.maxsize,
+        out-of-range ids, self-loops, a vertex with two edges, or duplicate
+        edges/arcs.  Digons and arc/edge parallel pairs are representable;
+        ``validate_and_profile`` rejects them.
         """
-        if n < 0:
-            raise MalformedGraphError(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= n <= sys.maxsize:
+            raise MalformedGraphError(f"vertex count must be in 0..{sys.maxsize}, got {n}")
         partner: list[Optional[int]] = [None] * n
         for u, v in edges:
             _check_vertex(u, n)
@@ -287,10 +289,12 @@ def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
     computed once, and is bucketed by (order, #edges, #arcs, sorted
     signatures); a backtracking matcher then runs only between graphs
     sharing a bucket.  The matcher maps vertices only onto vertices of
-    equal signature.  That prunes little when many vertices share one
-    signature, and its worst case is then exponential in the order:
-    ``bd_digraph(20)`` (40 vertices) against random relabellings of itself
-    took from 7 s to over 20 s on a 2-CPU Xeon host with Python 3.11.
+    equal signature, and places them in a connected order, so each vertex
+    after a component's first is tied to the image of a placed neighbour.
+    Its worst case is still exponential in the order, but ``bd_digraph(20)``
+    and ``bd_digraph(64)`` against random relabellings of themselves take
+    a few milliseconds each, and ``bd_digraph(300)`` 0.4 to 2 s, on a 2-CPU
+    host with Python 3.11.
     """
     reps: list[MixedGraph] = []
     forms: set[tuple[int, ...]] = set()
@@ -416,14 +420,29 @@ def _match(
     """Backtracking search for an isomorphism from g onto h, for graphs whose
     sorted signatures are equal.
 
-    g's vertices are placed in order of signature, each onto an unused
-    vertex of h with the same signature whose edge and arcs to the vertices
-    placed so far correspond.  The search keeps an explicit stack of
-    candidate positions, one per placed vertex, so its depth is not bounded
-    by Python's recursion limit.
+    g's vertices are placed in breadth-first order over the underlying
+    graph, each component from its least (signature, id) vertex, so every
+    vertex but a component's first has a placed neighbour that ties down
+    its image.  Each goes onto an unused vertex of h with the same
+    signature whose edge and arcs to the vertices placed so far
+    correspond.  The search keeps an explicit stack of candidate positions,
+    one per placed vertex, so its depth is not bounded by Python's
+    recursion limit.
     """
     g_out, h_out = g.out_arcs, h.out_arcs
-    order = sorted(range(g.n), key=lambda v: (sig_g[v], v))
+    near = [succ + pred for succ, pred in zip(g.successors(), g.predecessors())]
+    order: list[int] = []
+    seen = [False] * g.n
+    for root in sorted(range(g.n), key=lambda v: (sig_g[v], v)):
+        if not seen[root]:
+            seen[root] = True
+            frontier = [root]
+            for v in frontier:
+                for w in near[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        frontier.append(w)
+            order += frontier
     same_sig: dict[tuple, list[int]] = {}
     for u in range(h.n):
         same_sig.setdefault(sig_h[u], []).append(u)

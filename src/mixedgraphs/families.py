@@ -19,7 +19,6 @@ per dart, edge darts first (Gross and Tucker, Topological Graph Theory).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Literal, Optional, Sequence
@@ -421,19 +420,21 @@ class LiftTemplate:
     exactly when two links at one vertex with one far end join the same
     lift vertices.  The steps that ``cover``, ``metrics.lift_diameter`` and
     ``spectral.polynomial_matrix`` walk are the links less the backward
-    arc links.  A spanning forest grown on the links colours the base: it
-    is bipartite exactly when no non-tree dart joins two vertices of equal
-    depth parity, and then so is every lift, as a lift's closed walks
-    project to closed walks of the same length.
+    arc links.  A breadth-first spanning forest grown on the links is kept
+    as two tables: ``tree``, its steps (v, u, d, sign) from u to a new v,
+    and ``cotree``, every other dart as (d, u, v).  It colours the base:
+    the base is bipartite exactly when every cotree dart joins vertices of
+    opposite depth parity, and then so is every lift, as a lift's closed
+    walks project to closed walks of the same length.
 
     ``voltage_class(q, voltages)`` keys a lift up to isomorphism.
     Relabelling lift vertex (b, x) as (b, x - p(b)), for any shifts p, is
     an isomorphism that turns the voltage g of a dart (u, v) into
-    g + p(u) - p(v); choosing p along the forest gives every tree dart
-    voltage 0 (Gross and Tucker).  What is left, the net voltage of each
-    non-tree dart around its fundamental cycle, is the class, so two
-    assignments of one class have isomorphic lifts: equally well formed,
-    equally bipartite, and of one diameter.
+    g + p(u) - p(v); choosing p along ``tree`` gives every tree dart
+    voltage 0 (Gross and Tucker).  What is left, the cotree darts'
+    voltages, is the class, so two assignments of one class have
+    isomorphic lifts: equally well formed, equally bipartite, and of one
+    diameter.
     Raises MalformedBaseError unless n is an int >= 1 and every dart is a
     pair of ints in 0..n-1.
     """
@@ -477,35 +478,31 @@ class LiftTemplate:
         self.steps = tuple(step for steps in out for step in steps)
         ends = list(accumulate(map(len, out)))
         self.steps_from = [range(end - len(steps), end) for steps, end in zip(out, ends)]
-        # For voltage_class: a spanning forest, grown breadth first from
-        # the least unreached vertex.  A vertex's potential p(b) is the
-        # signed sum of the tree darts' voltages on its path from the root,
-        # as {dart: coefficient}, and a non-tree dart (u, v) keeps its net
-        # voltage g + p(u) - p(v).
-        potential: list[Optional[dict[int, int]]] = [None] * n
-        tree: set[int] = set()
+        # A spanning forest, grown breadth first from the least unreached
+        # vertex: tree holds its steps (v, u, d, sign), from u to a new v,
+        # in the order they reach v, and cotree every other dart as
+        # (d, u, v), in dart order.
+        depth: list[Optional[int]] = [None] * n
+        tree = []
         for root in range(n):
-            if potential[root] is None:
-                potential[root] = {}
+            if depth[root] is None:
+                depth[root] = 0
                 frontier = [root]
                 for u in frontier:
                     for v, d, sign in links[u]:
-                        if potential[v] is None:
-                            potential[v] = {**potential[u], d: sign}
-                            tree.add(d)
+                        if depth[v] is None:
+                            depth[v] = depth[u] + 1
+                            tree.append((v, u, d, sign))
                             frontier.append(v)
-        cycles = []
-        for d, (u, v) in enumerate(darts):
-            if d not in tree:
-                net = Counter({d: 1})
-                net.update(potential[u])
-                net.subtract(potential[v])
-                cycles.append(tuple(sorted((i, c) for i, c in net.items() if c)))
-        self.cycles = tuple(cycles)
-        # A fundamental cycle's terms are its darts, depth(u) + depth(v) + 1
+        self.tree = tuple(tree)
+        in_tree = {d for _, _, d, _ in tree}
+        self.cotree = tuple(
+            (d, u, v) for d, (u, v) in enumerate(darts) if d not in in_tree
+        )
+        # A cotree dart's fundamental cycle has depth(u) + depth(v) + 1 darts
         # less twice the meeting vertex's depth: odd exactly when (u, v), an
         # arc loop too, joins two vertices of equal depth parity.
-        self.bipartite = all(len(cycle) % 2 == 0 for cycle in self.cycles)
+        self.bipartite = all((depth[u] - depth[v]) % 2 for _, u, v in self.cotree)
 
     def __repr__(self) -> str:
         return f"LiftTemplate({self.n}, {self.edge_darts}, {self.arc_darts})"
@@ -547,12 +544,15 @@ class LiftTemplate:
         return all((voltages[i] + sign * voltages[j]) % q for i, j, sign in self.rules)
 
     def voltage_class(self, q: int, voltages: Sequence[int]) -> tuple[int, ...]:
-        """The net voltages, modulo q, of the fundamental cycles of the
-        template's spanning forest, one per non-tree dart.  Equal classes
-        give isomorphic lifts over Z_q.  Voltages are taken modulo q."""
-        return tuple(
-            sum(c * voltages[i] for i, c in cycle) % q for cycle in self.cycles
-        )
+        """The voltages, modulo q, of the cotree darts once a relabelling
+        has set every tree dart's voltage to 0: with potentials p(v) =
+        p(u) + sign*g_d along the tree steps, dart d = (u, v) keeps
+        g_d + p(u) - p(v).  Equal classes give isomorphic lifts over Z_q.
+        Voltages are taken modulo q."""
+        p = [0] * self.n
+        for v, u, d, sign in self.tree:
+            p[v] = p[u] + sign * voltages[d]
+        return tuple((voltages[d] + p[u] - p[v]) % q for d, u, v in self.cotree)
 
     def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
         """The unlabelled lift over Z_q, or None when it is not a

@@ -17,6 +17,7 @@ errors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
@@ -116,10 +117,15 @@ def lift_diameter(
     grows by rotation.  A dart with voltage g steps by g, and an edge dart
     also back by -g.  Voltages are taken modulo q; an assignment that
     ``LiftTemplate.cover`` rejects as malformed is measured too.  Raises
-    MalformedBaseError for q < 1 or a wrong number of voltages.
+    MalformedBaseError for q < 1 or a wrong number of voltages, and
+    UnsupportedParameterError for a cover of more than sys.maxsize vertices.
     """
     if q < 1:
         raise MalformedBaseError(f"group order must be >= 1, got {q}")
+    if template.n * q > sys.maxsize:
+        raise UnsupportedParameterError(
+            f"a cover of {template.n * q} vertices exceeds {sys.maxsize}"
+        )
     if len(voltages) != template.dart_count:
         raise MalformedBaseError(
             f"{template!r} takes {template.dart_count} voltages, got {len(voltages)}"

@@ -19,19 +19,18 @@ evaluation order.
 The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
 the voltage graph (template, q, voltages) that ``families.lift`` takes.
-The search rejects a malformed lift from the darts and voltages alone and
-judges the rest once per voltage class (``LiftTemplate.voltage_class``):
-two assignments of one class have isomorphic lifts, so the first candidate
-of a class decides for all of them, exactly.  It is measured with
-``metrics.lift_diameter``, which builds no graph.  The template colours
-its base from its spanning forest; every lift of a bipartite base is
-bipartite, and for other bases the first lift of each class is built and
-2-coloured.  The witnesses are ranked by their canonical text without
-rendering it: each fibre's lines come from ``LiftTemplate.fibre_lines``,
-once per fibre voltages and group order, and their tuple orders and
-equates lifts as the text does.  So a lift is built only for a kept
-witness, once the search is over, or for the first candidate of a class
-on a non-bipartite base.
+Per candidate the search computes only its voltage class
+(``LiftTemplate.voltage_class``) and looks it up: two assignments of one
+class have isomorphic lifts, so the first candidate of a class decides
+for all, exactly, whether they are well formed (from the voltages alone),
+bipartite, and of diameter <= k (``metrics.lift_diameter``, which builds
+no graph).  Every lift of a bipartite base is bipartite; for other bases
+the first lift of each class is built and 2-coloured.  The witnesses are
+ranked by their canonical text without rendering it: each fibre's lines
+come from ``LiftTemplate.fibre_lines``, once per fibre voltages and group
+order, and their tuple orders and equates lifts as the text does.  So a
+lift is built only for a kept witness, once the search is over, or for
+the first candidate of a well-formed class on a non-bipartite base.
 """
 
 from __future__ import annotations
@@ -104,7 +103,10 @@ def exhaustive_max_order(
     centraliser of the class-0 permutation; the general mode (any degrees
     <= 1) is far larger and only sensible for tiny n.  ``candidates``
     counts the graphs evaluated, and a budget caps it; hitting the budget
-    clears the exhaustive flag.
+    clears the exhaustive flag.  The budget does not cap the set-up for
+    each cycle type of p: its centraliser C(p) is listed in full, with two
+    lists of length h = n/2 per element, before the first candidate, so
+    O(|C(p)| h) time and memory (|C(p)| = h for the first, single-cycle p).
     Raises UnsupportedParameterError for k < 1, an odd or too small order
     cap, or a budget below 1, before any candidate is evaluated.
     """
@@ -164,22 +166,22 @@ def lift_search(
     For each distinct group order q, in order of first occurrence in
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
-    counter-based generator keyed by the seed otherwise.  The template
-    rejects malformed lifts from the voltages alone.  The rest are judged
-    once per voltage class and group order: relabelling the lift's fibres
-    makes every assignment of a class one with voltage 0 on the template's
-    spanning forest and the class's net voltages elsewhere, so all its
-    lifts are isomorphic and share the verdict of its first candidate,
-    measured by ``metrics.lift_diameter``.  Every candidate still counts,
-    in the same order, so the report is the one a per-candidate judgement
-    gives.  The witnesses kept are the first accepted assignments at the
-    best order of the smallest canonical texts, one per text, ranked by
-    the lines each fibre gives that text (``LiftTemplate.fibre_lines``)
-    without a lift being built.  A lift is built only for a kept witness,
-    once the search is over, labelled as ``families.lift`` labels it, or
-    to 2-colour the first candidate of a class when the base is not
-    bipartite.  Reports are byte-identical across reruns with the same
-    arguments.
+    counter-based generator keyed by the seed otherwise.  Each candidate
+    is judged once per voltage class and group order: relabelling the
+    lift's fibres makes every assignment of a class one with voltage 0 on
+    the template's spanning forest (``LiftTemplate.tree``) and the class's
+    voltages on its cotree, so all its lifts are isomorphic and share the
+    verdict of its first candidate: well formed (from the voltages alone),
+    bipartite, and of diameter <= k by ``metrics.lift_diameter``.  Every
+    candidate still counts, in the same order, so the report is the one a
+    per-candidate judgement gives.  The witnesses kept are the first
+    accepted assignments at the best order of the smallest canonical
+    texts, one per text, ranked by the lines each fibre gives that text
+    (``LiftTemplate.fibre_lines``) without a lift being built.  A lift is
+    built only for a kept witness, once the search is over, labelled as
+    ``families.lift`` labels it, or to 2-colour the first candidate of a
+    well-formed class when the base is not bipartite.  Reports are
+    byte-identical across reruns with the same arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
     group order below 1, before any candidate is evaluated; the template
@@ -195,7 +197,6 @@ def lift_search(
             raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
     orders = list(dict.fromkeys(orders))  # a repeated order is searched once
     start = time.perf_counter()
-    candidates = 0
     remaining = budget
     exhaustive = True
     best_order: Optional[int] = None
@@ -218,22 +219,21 @@ def lift_search(
                 _sample_voltages(seed, q, counter, template.dart_count)
                 for counter in range(remaining)
             )
-        # voltage class -> whether its lifts are bipartite of diameter <= k
+        # voltage class -> whether its lifts are well formed, bipartite and
+        # of diameter <= k
         verdicts: dict[tuple[int, ...], bool] = {}
         # fibre and its steps' voltages -> the fibre's lines, for _text_key
         lines: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
         for voltages in assignments:
-            candidates += 1
             remaining -= 1
-            if not template.well_formed(q, voltages):
-                continue
             voltage_class = template.voltage_class(q, voltages)
             accepted = verdicts.get(voltage_class)
             if accepted is None:
-                g = None if template.bipartite else template.cover(q, voltages)
                 accepted = verdicts[voltage_class] = (
-                    g is None or bipartition(g) is not None
-                ) and lift_diameter(template, q, voltages) <= k
+                    template.well_formed(q, voltages)
+                    and (template.bipartite or bipartition(template.cover(q, voltages)) is not None)
+                    and lift_diameter(template, q, voltages) <= k
+                )
             if accepted and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
                     best_order, kept = order, {}
@@ -256,7 +256,7 @@ def lift_search(
         best_order=best_order,
         exhaustive=exhaustive,
         witnesses=tuple(witnesses),
-        candidates=candidates,
+        candidates=budget - remaining,
         wall_time=time.perf_counter() - start,
         seed=seed,
     )

@@ -462,3 +462,35 @@ def test_search_lift_bad_arguments_are_errors(monkeypatch, capsys, argv):
     assert_one_line_error(*run_cli(
         capsys, "search", "lift", *argv, "--budget", "20000", "--seed", "1"
     ))
+
+
+def test_construct_unwritable_out_is_an_error(tmp_path, capsys):
+    # a directory, then a file in a missing directory
+    for out in (tmp_path, tmp_path / "missing" / "ring.edges"):
+        assert_one_line_error(*run_cli(
+            capsys, "construct", "crm", "--n", "8", "--c", "3", "--out", str(out)
+        ))
+
+
+HUGE = str(2**70)  # past sys.maxsize: refused before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"mixedgraph {HUGE}\n", f'{{"n": {HUGE}, "edges": [], "arcs": []}}'],
+    ids=["edges", "json"],
+)
+def test_analyze_too_many_vertices_is_an_error(tmp_path, capsys, text):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert_one_line_error(*run_cli(capsys, "analyze", str(path)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lift", "--k", "6", "--q", HUGE, "--budget", "3", "--seed", "1"],
+     ["cdrm-scan", "--m", HUGE]],
+    ids=["lift", "cdrm-scan"],
+)
+def test_search_on_a_cover_too_large_is_an_error(capsys, argv):
+    assert_one_line_error(*run_cli(capsys, "search", *argv))

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -795,6 +795,47 @@ def test_one_voltage_class_gives_isomorphic_lifts(case):
             assert _canonical_form(h) == form
         else:
             assert are_isomorphic(g, h)
+
+
+def reference_voltage_class(template: LiftTemplate, q: int, voltages) -> tuple[int, ...]:
+    """Reference: the class from symbolic fundamental cycles.  A breadth-first
+    spanning forest over the links, roots in increasing order, gives each
+    vertex its potential as {dart: coefficient}; each non-tree dart (u, v),
+    in dart order, keeps its net voltage g + p(u) - p(v) as a sorted tuple
+    of (dart, nonzero coefficient), evaluated modulo q."""
+    darts = (*template.edge_darts, *template.arc_darts)
+    links = [[] for _ in range(template.n)]
+    for d, (u, v) in enumerate(darts):
+        links[u].append((v, d, 1))
+        links[v].append((u, d, -1))
+    potential = [None] * template.n
+    tree = set()
+    for root in range(template.n):
+        if potential[root] is None:
+            potential[root] = {}
+            frontier = [root]
+            for u in frontier:
+                for v, d, sign in links[u]:
+                    if potential[v] is None:
+                        potential[v] = {**potential[u], d: sign}
+                        tree.add(d)
+                        frontier.append(v)
+    cycles = []
+    for d, (u, v) in enumerate(darts):
+        if d not in tree:
+            net = Counter({d: 1})
+            net.update(potential[u])
+            net.subtract(potential[v])
+            cycles.append(tuple(sorted((i, c) for i, c in net.items() if c)))
+    return tuple(sum(c * voltages[i] for i, c in cycle) % q for cycle in cycles)
+
+
+@settings(max_examples=500)
+@given(voltage_bases())
+def test_voltage_class_matches_the_symbolic_cycles(voltage_graph):
+    assert voltage_graph[0].voltage_class(*voltage_graph[1:]) == reference_voltage_class(
+        *voltage_graph
+    )
 
 
 @st.composite

@@ -45,6 +45,7 @@ from test_properties import (
     reference_class1_representatives,
     reference_matching_graph,
     reference_totally_regular_candidates,
+    reference_voltage_class,
 )
 
 
@@ -595,17 +596,57 @@ def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, b
 
 
 def test_one_diameter_per_voltage_class():
-    # every assignment of the two templates: a class has one diameter, and
-    # the classes are the q^(darts - n + 1) net voltages of the cycles
+    # every assignment of the two templates: a class has one diameter and
+    # is well formed or not as a whole, and the classes are the
+    # q^(darts - n + 1) voltages of the cotree darts
     for template, q_max in ((four_vertex_template(), 5), (two_vertex_template(), 13)):
         free = template.dart_count - template.n + 1
+        assert len(template.cotree) == free
         for q in range(1, q_max + 1):
-            diameters = {}
+            verdicts = {}
             for voltages in itertools.product(range(q), repeat=template.dart_count):
-                d = lift_diameter(template, q, voltages)
+                verdict = (
+                    lift_diameter(template, q, voltages),
+                    template.well_formed(q, voltages),
+                )
                 key = template.voltage_class(q, voltages)
-                assert diameters.setdefault(key, d) == d, (q, voltages)
-            assert len(diameters) == q**free
+                assert verdicts.setdefault(key, verdict) == verdict, (q, voltages)
+            assert len(verdicts) == q**free
+
+
+@pytest.mark.parametrize(
+    "template, q_max",
+    [(four_vertex_template(), 5), (two_vertex_template(), 13), (TRIANGLE, 6),
+     (PARALLEL, 6), (CDRM_LOOPS, 6)],
+    ids=["four", "two", "triangle", "parallel", "cdrm-loops"],
+)
+def test_voltage_class_equals_the_symbolic_cycles_on_every_assignment(template, q_max):
+    for q in range(1, q_max + 1):
+        for voltages in itertools.product(range(q), repeat=template.dart_count):
+            expected = reference_voltage_class(template, q, voltages)
+            assert template.voltage_class(q, voltages) == expected, (q, voltages)
+
+
+def test_lift_search_checks_well_formedness_once_per_class(monkeypatch):
+    # the lift-sweep search: well_formed runs on the first candidate of
+    # each (order, class), then once per kept witness as cover builds it
+    calls = []
+
+    def counting_well_formed(template, q, voltages):
+        calls.append((q, template.voltage_class(q, voltages)))
+        return well_formed(template, q, voltages)
+
+    well_formed = LiftTemplate.well_formed
+    monkeypatch.setattr(LiftTemplate, "well_formed", counting_well_formed)
+    template = four_vertex_template()
+    lift_search(6, template, [5, 7], budget=20000, seed=1)
+    monkeypatch.undo()
+
+    space = [(5, v) for v in itertools.product(range(5), repeat=6)]
+    space += [(7, _sample_voltages(1, 7, i, 6)) for i in range(20000 - 5**6)]
+    classes = list(dict.fromkeys((q, template.voltage_class(q, v)) for q, v in space))
+    assert calls[: -search._WITNESS_CAP] == classes
+    assert len(calls) == len(classes) + search._WITNESS_CAP <= 5**3 + 7**3 + 8
 
 
 def refuse_evaluation(*args):
