@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Literal, Optional, Sequence
 
-from .core import MixedGraph
+from .core import MixedGraph, breadth_first_forest
 from .errors import (
     MalformedBaseError,
     MalformedGraphError,
@@ -422,10 +422,12 @@ class LiftTemplate:
     ``spectral.polynomial_matrix`` walk are the links less the backward
     arc links.  A breadth-first spanning forest grown on the links is kept
     as two tables: ``tree``, its steps (v, u, d, sign) from u to a new v,
-    and ``cotree``, every other dart as (d, u, v).  It colours the base:
-    the base is bipartite exactly when every cotree dart joins vertices of
-    opposite depth parity, and then so is every lift, as a lift's closed
-    walks project to closed walks of the same length.
+    and ``cotree``, every other dart as (d, u, v).  ``cycle_parities``
+    holds the length parity of each cotree dart's fundamental cycle, 1 when
+    (u, v), an arc loop too, joins two vertices of equal depth parity.  The
+    base is ``bipartite`` exactly when no such cycle is odd, and then so is
+    every lift, as a lift's closed walks project to closed walks of the
+    same length.
 
     ``voltage_class(q, voltages)`` keys a lift up to isomorphism.
     Relabelling lift vertex (b, x) as (b, x - p(b)), for any shifts p, is
@@ -478,31 +480,22 @@ class LiftTemplate:
         self.steps = tuple(step for steps in out for step in steps)
         ends = list(accumulate(map(len, out)))
         self.steps_from = [range(end - len(steps), end) for steps, end in zip(out, ends)]
-        # A spanning forest, grown breadth first from the least unreached
-        # vertex: tree holds its steps (v, u, d, sign), from u to a new v,
-        # in the order they reach v, and cotree every other dart as
+        # A spanning forest over the links' far ends, from the least
+        # unreached vertex: tree holds its steps (v, u, d, sign), from u to
+        # a new v, in the order they reach v, and cotree every other dart as
         # (d, u, v), in dart order.
-        depth: list[Optional[int]] = [None] * n
-        tree = []
-        for root in range(n):
-            if depth[root] is None:
-                depth[root] = 0
-                frontier = [root]
-                for u in frontier:
-                    for v, d, sign in links[u]:
-                        if depth[v] is None:
-                            depth[v] = depth[u] + 1
-                            tree.append((v, u, d, sign))
-                            frontier.append(v)
-        self.tree = tuple(tree)
-        in_tree = {d for _, _, d, _ in tree}
+        far_ends = [[w for w, _, _ in at] for at in links]
+        order, parent, depth = breadth_first_forest(far_ends, range(n))
+        reached = [(v, *parent[v]) for v in order if parent[v]]  # (v, u, i): v is links[u][i]
+        self.tree = tuple((v, u, *links[u][i][1:]) for v, u, i in reached)
+        in_tree = {d for _, _, d, _ in self.tree}
         self.cotree = tuple(
             (d, u, v) for d, (u, v) in enumerate(darts) if d not in in_tree
         )
         # A cotree dart's fundamental cycle has depth(u) + depth(v) + 1 darts
-        # less twice the meeting vertex's depth: odd exactly when (u, v), an
-        # arc loop too, joins two vertices of equal depth parity.
-        self.bipartite = all((depth[u] - depth[v]) % 2 for _, u, v in self.cotree)
+        # less twice the meeting vertex's depth; an arc loop's has one.
+        self.cycle_parities = tuple((depth[u] + depth[v] + 1) % 2 for _, u, v in self.cotree)
+        self.bipartite = not any(self.cycle_parities)
 
     def __repr__(self) -> str:
         return f"LiftTemplate({self.n}, {self.edge_darts}, {self.arc_darts})"
@@ -553,6 +546,16 @@ class LiftTemplate:
         for v, u, d, sign in self.tree:
             p[v] = p[u] + sign * voltages[d]
         return tuple((voltages[d] + p[u] - p[v]) % q for d, u, v in self.cotree)
+
+    def lifts_bipartite(self, q: int, voltage_class: Sequence[int]) -> bool:
+        """Whether the lifts over Z_q of a voltage class are bipartite: the
+        base is, or q is even and every class voltage has its cycle's
+        parity, so that (b, x) may take colour depth(b) + x once the tree
+        darts carry voltage 0.  The converse holds for a connected lift,
+        whose one 2-colouring the fibre shift x -> x + 1 keeps (so the base
+        is bipartite) or swaps (so q is even and the colouring is that)."""
+        parities = zip(voltage_class, self.cycle_parities)
+        return self.bipartite or (q % 2 == 0 and all(g % 2 == odd for g, odd in parities))
 
     def cover(self, q: int, voltages: Sequence[int]) -> Optional[MixedGraph]:
         """The unlabelled lift over Z_q, or None when it is not a

@@ -1,17 +1,18 @@
 """Distances, eccentricities, diameter, and radii of mixed graphs.
 
 Shortest paths are taken in the associated digraph: edges are traversable in
-both directions, arcs only forward.  Everything here reads the rounds of the
-one distance kernel, ``core.ball_rounds``, which grows every vertex's ball as
-a bitset, one distance per round: a vertex's eccentricity is the first round
-in which its ball is full, and a distance is the round in which its bit first
-appears.  A vertex's in-eccentricity is the first round in which it lies
-in every ball, so one run on the successor lists gives both, and
-``lift_diameter`` runs the kernel on one vertex per fibre of a voltage
-graph's cover.  Unreachable pairs are marked with ``UNREACHABLE`` in
-distance rows; aggregate quantities over unreachable pairs become
-``INFINITE`` so callers can filter candidates cheaply instead of handling
-errors.
+both directions, arcs only forward.  One source's row is the depths of its
+breadth-first tree (``core.breadth_first_forest``).  Everything else reads
+the rounds of the distance kernel, ``core.ball_rounds``, which grows every
+vertex's ball as a bitset, one distance per round: a vertex's eccentricity
+is the first round in which its ball is full, and a distance is the round
+in which its bit first appears.  A vertex's in-eccentricity is the first
+round in which it lies in every ball, so one run on the successor lists
+gives both, and ``lift_diameter`` runs the kernel on one vertex per fibre
+of a voltage graph's cover.  Unreachable pairs are marked with
+``UNREACHABLE`` in distance rows; aggregate quantities over unreachable
+pairs become ``INFINITE`` so callers can filter candidates cheaply
+instead of handling errors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .core import MixedGraph, ball_rounds
+from .core import MixedGraph, ball_rounds, breadth_first_forest
 from .errors import MalformedBaseError, UnsupportedParameterError
 
 if TYPE_CHECKING:  # families imports this module
@@ -69,10 +70,11 @@ class EccentricityReport:
 
 
 def distances_from(g: MixedGraph, src: int) -> list[int]:
-    """Shortest mixed-path lengths from src to every vertex."""
+    """Shortest mixed-path lengths from src to every vertex: the depths of
+    the breadth-first tree from src, UNREACHABLE (-1) where it has none."""
     if not 0 <= src < g.n:
         raise UnsupportedParameterError(f"source {src} out of range 0..{g.n - 1}")
-    return list(distance_matrix(g).rows[src])
+    return breadth_first_forest(g.successors(), [src])[2]
 
 
 def distance_matrix(g: MixedGraph) -> DistanceMatrix:

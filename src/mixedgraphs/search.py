@@ -24,13 +24,14 @@ Per candidate the search computes only its voltage class
 class have isomorphic lifts, so the first candidate of a class decides
 for all, exactly, whether they are well formed (from the voltages alone),
 bipartite, and of diameter <= k (``metrics.lift_diameter``, which builds
-no graph).  Every lift of a bipartite base is bipartite; for other bases
-the first lift of each class is built and 2-coloured.  The witnesses are
-ranked by their canonical text without rendering it: each fibre's lines
-come from ``LiftTemplate.fibre_lines``, once per fibre voltages and group
-order, and their tuple orders and equates lifts as the text does.  So a
-lift is built only for a kept witness, once the search is over, or for
-the first candidate of a well-formed class on a non-bipartite base.
+no graph).  A connected lift is bipartite exactly when the base is, or
+when q is even and every class voltage has the parity of its fundamental
+cycle (``LiftTemplate.lifts_bipartite``); a disconnected one fails the
+diameter test.  The witnesses are ranked by their canonical text without
+rendering it: each fibre's lines come from ``LiftTemplate.fibre_lines``,
+once per fibre voltages and group order, and their tuple orders and
+equates lifts as the text does.  So a lift is built only for a kept
+witness, once the search is over.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import MixedGraph, bipartition, format_edge_list, isomorphism_classes
+from .core import MixedGraph, format_edge_list, isomorphism_classes
 from .errors import UnsupportedParameterError
 from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph
 from .metrics import diameter, lift_diameter
@@ -172,15 +173,15 @@ def lift_search(
     the template's spanning forest (``LiftTemplate.tree``) and the class's
     voltages on its cotree, so all its lifts are isomorphic and share the
     verdict of its first candidate: well formed (from the voltages alone),
-    bipartite, and of diameter <= k by ``metrics.lift_diameter``.  Every
-    candidate still counts, in the same order, so the report is the one a
-    per-candidate judgement gives.  The witnesses kept are the first
-    accepted assignments at the best order of the smallest canonical
-    texts, one per text, ranked by the lines each fibre gives that text
-    (``LiftTemplate.fibre_lines``) without a lift being built.  A lift is
-    built only for a kept witness, once the search is over, labelled as
-    ``families.lift`` labels it, or to 2-colour the first candidate of a
-    well-formed class when the base is not bipartite.  Reports are
+    bipartite by the class's parity rule (``LiftTemplate.lifts_bipartite``,
+    exact for every lift of finite diameter), and of diameter <= k by
+    ``metrics.lift_diameter``.  Every candidate still counts, in the same
+    order, so the report is the one a per-candidate judgement gives.  The
+    witnesses kept are the first accepted assignments at the best order of
+    the smallest canonical texts, one per text, ranked by the lines each
+    fibre gives that text (``LiftTemplate.fibre_lines``) without a lift
+    being built.  A lift is built only for a kept witness, once the search
+    is over, labelled as ``families.lift`` labels it.  Reports are
     byte-identical across reruns with the same arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
@@ -231,7 +232,7 @@ def lift_search(
             if accepted is None:
                 accepted = verdicts[voltage_class] = (
                     template.well_formed(q, voltages)
-                    and (template.bipartite or bipartition(template.cover(q, voltages)) is not None)
+                    and template.lifts_bipartite(q, voltage_class)
                     and lift_diameter(template, q, voltages) <= k
                 )
             if accepted and (best_order is None or order >= best_order):

@@ -277,16 +277,17 @@ def test_relabelled_bd_digraph_is_isomorphic(m):
 
 def test_matcher_without_signatures():
     # every vertex of one signature: only the placed neighbours tie the
-    # vertices down
-    g = bd_digraph(20)
-    perm = list(range(g.n))
-    random.Random(1).shuffle(perm)
-    out = [list(heads) for heads in g.out_arcs]
-    out[0][0], out[1][0] = out[1][0], out[0][0]
-    h = MixedGraph.build(g.n, arcs=[(v, w) for v, heads in enumerate(out) for w in heads])
-    flat = [()] * g.n
-    assert _match(g, flat, g.relabelled(perm), flat)
-    assert not _match(g, flat, h, flat)
+    # vertices down, each onto a neighbour of its forest parent's image
+    for m in (20, 64):
+        g = bd_digraph(m)
+        perm = list(range(g.n))
+        random.Random(1).shuffle(perm)
+        out = [list(heads) for heads in g.out_arcs]
+        out[0][0], out[1][0] = out[1][0], out[0][0]
+        h = MixedGraph.build(g.n, arcs=[(v, w) for v, heads in enumerate(out) for w in heads])
+        flat = [()] * g.n
+        assert _match(g, flat, g.relabelled(perm), flat)
+        assert not _match(g, flat, h, flat)
 
 
 def test_canonical_form_domain():

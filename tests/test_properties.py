@@ -12,6 +12,7 @@ from mixedgraphs import (
     EccentricityReport,
     MixedGraph,
     are_isomorphic,
+    bd_digraph,
     bipartition,
     cdrm,
     contract_edges,
@@ -28,7 +29,13 @@ from mixedgraphs import (
     validate_and_profile,
     verify_automorphism,
 )
-from mixedgraphs.core import _canonical_form, _iso_signatures, ball_rounds
+from mixedgraphs.core import (
+    _canonical_form,
+    _has_root,
+    _iso_signatures,
+    ball_rounds,
+    breadth_first_forest,
+)
 from mixedgraphs.errors import MalformedBaseError, MalformedGraphError
 from mixedgraphs.families import LiftTemplate
 from mixedgraphs.metrics import UNREACHABLE
@@ -226,6 +233,92 @@ def test_kernel_on_empty_graph():
     assert distance_matrix(g).diameter() == diameter(g) == 0
     assert eccentricity_report(g) == EccentricityReport((), (), 0, 0, 0, (), ())
     assert _iso_signatures(g) == []
+
+
+# ---------------------------------------------------------------------------
+# The breadth-first forest and the traversals it replaced
+# ---------------------------------------------------------------------------
+
+@given(mixed_graphs(), st.randoms())
+def test_breadth_first_forest_contract(g, rng):
+    adj = g.successors()
+    roots = [rng.randrange(g.n) for _ in range(rng.randrange(4))]
+    order, parent, depth = breadth_first_forest(adj, roots)
+    trees = []  # the root of each reached vertex's tree
+    for root in roots:
+        if root not in trees and depth[root] == 0 and parent[root] is None:
+            trees.append(root)
+    reached = set()
+    for root in trees:
+        row = queue_bfs(adj, root)
+        reached |= {v for v in range(g.n) if row[v] != UNREACHABLE}
+    assert sorted(order) == sorted(reached)
+    assert [depth[v] >= 0 for v in range(g.n)] == [v in reached for v in range(g.n)]
+    position = {v: i for i, v in enumerate(order)}
+    for v in order:
+        if parent[v] is None:
+            assert v in trees and depth[v] == 0
+        else:
+            u, i = parent[v]
+            assert adj[u][i] == v and depth[v] == depth[u] + 1
+            assert position[u] < position[v]
+    # each tree is visited whole, in the order of its root, by depth
+    assert [depth[v] for v in order if parent[v] is None] == [0] * len(trees)
+    tree_of = {}
+    for v in order:
+        tree_of[v] = v if parent[v] is None else tree_of[parent[v][0]]
+    keys = [(trees.index(tree_of[v]), depth[v]) for v in order]
+    assert keys == sorted(keys)
+
+
+def reference_bipartition(g: MixedGraph):
+    """Reference: the queue 2-colouring that ``bipartition`` replaced,
+    stopping at the first adjacency whose ends have equal colours."""
+    colour = [None] * g.n
+    adj = g.successors()
+    for u in range(g.n):
+        for v in g.out_arcs[u]:
+            adj[v].append(u)
+    for start in range(g.n):
+        if colour[start] is not None:
+            continue
+        colour[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if colour[v] is None:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+    return tuple(colour)
+
+
+@example(bd_digraph(6))
+@example(crm(10, 3))
+@example(cdrm(12, 3, "reflect"))
+@example(MixedGraph.build(0))
+@given(mixed_graphs())
+def test_bipartition_matches_the_queue_reference(g):
+    assert bipartition(g) == reference_bipartition(g)
+
+
+@example(MixedGraph.build(5, arcs=[(0, 1), (1, 2), (3, 4), (4, 0)]))  # root 3, found last
+@example(MixedGraph.build(4, arcs=[(0, 1), (2, 3)]))  # two paths, no root
+@given(mixed_graphs())
+def test_has_root_matches_brute_force(g):
+    heads = [arcs[0] if arcs else None for arcs in g.out_arcs]
+    succ = g.successors()
+    expected = any(UNREACHABLE not in queue_bfs(succ, v) for v in range(g.n))
+    assert _has_root(g.edge_partner, heads) == expected
+
+
+@given(mixed_graphs())
+def test_distances_from_is_a_row_of_the_distance_matrix(g):
+    rows = distance_matrix(g).rows
+    for src in range(g.n):
+        assert tuple(distances_from(g, src)) == rows[src]
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +805,33 @@ def test_lift_diameter_matches_the_built_cover(voltage_graph):
     g = voltage_graph[0].cover(*voltage_graph[1:])
     if g is not None:
         assert lift_diameter(*voltage_graph) == diameter(g)
+
+
+def assert_lifts_bipartite_matches_the_cover(template, q, voltages) -> None:
+    """``LiftTemplate.lifts_bipartite`` on the voltage class against the
+    built cover's 2-colouring: the rule never claims a lift that has none,
+    and agrees with it on every lift of finite diameter (every connected
+    lift)."""
+    g = template.cover(q, voltages)
+    if g is None:
+        return
+    rule = template.lifts_bipartite(q, template.voltage_class(q, voltages))
+    coloured = bipartition(g) is not None
+    assert coloured or not rule, (template, q, voltages)
+    if rule != coloured:
+        assert lift_diameter(template, q, voltages) == INFINITE, (template, q, voltages)
+
+
+@example((LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0))), 4, (1, 2, 0)))  # odd cycle, odd class
+@example((LiftTemplate(1, (), ((0, 0),)), 2, (1,)))  # an arc loop over Z_2: a digon
+@example((LiftTemplate(1, (), ((0, 0), (0, 0))), 8, (1, 3)))  # two odd loops: bipartite
+@example((LiftTemplate(1, (), ((0, 0), (0, 0))), 8, (1, 2)))  # an even loop: not
+# two odd cycles in two components, each lift component bipartite
+@example((LiftTemplate(4, (), ((0, 0), (1, 2), (2, 3), (3, 1))), 4, (1, 1, 0, 0)))
+@settings(max_examples=300)
+@given(voltage_bases())
+def test_lifts_bipartite_matches_the_built_cover(voltage_graph):
+    assert_lifts_bipartite_matches_the_cover(*voltage_graph)
 
 
 @example((LiftTemplate(2, (), ((0, 1), (1, 0))), 3, (1, 2)))  # a digon

@@ -13,6 +13,7 @@ from mixedgraphs import (
     bipartition,
     cdrm,
     cdrm_scan,
+    cdrm_voltage_graph,
     crm,
     crm_voltage_graph,
     diameter,
@@ -37,6 +38,7 @@ from mixedgraphs.search import (
     _sample_voltages,
 )
 from test_properties import (
+    assert_lifts_bipartite_matches_the_cover,
     assert_template_matches_reference,
     reference_are_isomorphic,
     reference_class1_backtracking,
@@ -406,26 +408,6 @@ def test_lift_evaluator_matches_reference_on_every_assignment(template, q):
         assert_template_matches_reference(template, q, voltages)
 
 
-def test_lift_evaluator_colours_lifts_only_of_a_non_bipartite_base(monkeypatch):
-    coloured = []
-
-    def counting_bipartition(g):
-        coloured.append(g.n)
-        return bipartition(g)
-
-    monkeypatch.setattr(search, "bipartition", counting_bipartition)
-    # every lift of a bipartite base is bipartite, and the template reads
-    # the base's colouring off its spanning forest: nothing is coloured
-    lift_search(6, four_vertex_template(), [3, 4], budget=20000, seed=1)
-    assert coloured == []
-    # an arc triangle is not bipartite: the first lift of each voltage
-    # class is coloured; at q = 2 its 8 assignments, all well formed, fall
-    # into 2 classes, the sum of the three voltages modulo 2
-    triangle = LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0)))
-    lift_search(2, triangle, [2], budget=100, seed=1)
-    assert coloured == [6] * 2
-
-
 def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
     # the lift-sweep search: each voltage class is judged once, on the
     # voltage graph of its first well-formed candidate, and a lift is built
@@ -595,6 +577,38 @@ def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, b
     assert report.serialize() == expected.serialize()
 
 
+@pytest.mark.parametrize(
+    "k, template, q, budget",
+    [(5, TRIANGLE, 2, 100), (6, cdrm_voltage_graph(8, 1)[0], 8, 1000)],
+    ids=["triangle", "cdrm-loops"],
+)
+def test_lift_search_builds_covers_only_for_kept_witnesses(monkeypatch, k, template, q, budget):
+    # neither base is bipartite, yet bipartiteness comes from the voltage
+    # class: a lift is built only for a kept witness, once the search is over
+    built = []
+
+    def counting_cover(template, q, voltages):
+        built.append((q, tuple(voltages)))
+        return cover(template, q, voltages)
+
+    cover = LiftTemplate.cover
+    assert not template.bipartite
+    monkeypatch.setattr(LiftTemplate, "cover", counting_cover)
+    report = lift_search(k, template, [q], budget, seed=1)
+    monkeypatch.undo()
+    # the first assignment of each of the _WITNESS_CAP smallest texts among
+    # the lifts that are 2-coloured when built and of diameter <= k
+    first_of_text = {}
+    for voltages in itertools.product(range(q), repeat=template.dart_count):
+        g = template.cover(q, voltages)
+        if g is not None and bipartition(g) is not None and lift_diameter(template, q, voltages) <= k:
+            first_of_text.setdefault(format_edge_list(g), (q, voltages))
+    expected = [first_of_text[text] for text in sorted(first_of_text)[: search._WITNESS_CAP]]
+    assert expected and sorted(built) == sorted(expected)
+    assert report.best_order == template.n * q
+    assert report.serialize() == reference_lift_search(k, template, [q], budget, 1).serialize()
+
+
 def test_one_diameter_per_voltage_class():
     # every assignment of the two templates: a class has one diameter and
     # is well formed or not as a whole, and the classes are the
@@ -612,6 +626,16 @@ def test_one_diameter_per_voltage_class():
                 key = template.voltage_class(q, voltages)
                 assert verdicts.setdefault(key, verdict) == verdict, (q, voltages)
             assert len(verdicts) == q**free
+
+
+@pytest.mark.parametrize(
+    "template", [TRIANGLE, PARALLEL, CDRM_LOOPS, two_vertex_template(), four_vertex_template()],
+    ids=["triangle", "parallel", "cdrm-loops", "two", "four"],
+)
+def test_lifts_bipartite_matches_every_built_cover(template):
+    for q in range(1, 7):
+        for voltages in itertools.product(range(q), repeat=template.dart_count):
+            assert_lifts_bipartite_matches_the_cover(template, q, voltages)
 
 
 @pytest.mark.parametrize(
