@@ -399,7 +399,8 @@ def graph_to_json(g: MixedGraph) -> str:
 
 def graph_from_json(text: str) -> MixedGraph:
     """Parse the JSON export; bad JSON or ill-typed keys raise
-    MalformedGraphError."""
+    MalformedGraphError.  ``labels``, when present, maps each vertex id,
+    as a string, and no other key, to a string."""
     try:
         payload = json.loads(text)
     except ValueError as exc:
@@ -410,10 +411,16 @@ def graph_from_json(text: str) -> MixedGraph:
     if type(n) is not int:
         raise MalformedGraphError(f"JSON key 'n' must be an integer, got {n!r}")
     pairs = {key: _json_pairs(payload, key) for key in ("edges", "arcs")}
-    labels = payload.get("labels") or None
-    if labels is not None:
-        if not isinstance(labels, dict) or any(str(v) not in labels for v in range(n)):
-            raise MalformedGraphError("JSON key 'labels' must map every vertex id")
+    labels = payload.get("labels")
+    if labels in (None, {}):  # graph_to_json writes {} for an unlabelled graph
+        labels = None
+    elif (
+        not isinstance(labels, dict)
+        or len(labels) != n
+        or any(type(labels.get(str(v))) is not str for v in range(n))
+    ):
+        raise MalformedGraphError("JSON key 'labels' must map exactly the vertex ids to strings")
+    else:
         labels = [labels[str(v)] for v in range(n)]
     return MixedGraph.build(n, edges=pairs["edges"], arcs=pairs["arcs"], labels=labels)
 

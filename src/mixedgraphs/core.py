@@ -421,19 +421,23 @@ def _match(
     the underlying graph, each component from its least (signature, id)
     vertex.  A component's first vertex may go onto any vertex of h with
     its signature; every later vertex only onto a neighbour of its forest
-    parent's image with its signature, each tried once.  A candidate must
-    be unused and have the edge and arcs to the vertices placed so far that
-    correspond.  The search keeps an explicit stack of candidate positions,
-    one per placed vertex, so its depth is not bounded by Python's
-    recursion limit.
+    parent's image with its signature, each tried once.  A candidate u for
+    v must be unused, each placed neighbour w of v must map to a neighbour
+    of u with the same relations (partner, arc v -> w, arc w -> v), and u
+    must have as many used neighbours as v has placed ones, so no other
+    placed vertex is adjacent to u.  The search keeps an explicit stack of
+    candidate positions, one per placed vertex, so its depth is not
+    bounded by Python's recursion limit.
     """
     g_out, h_out = g.out_arcs, h.out_arcs
-    near = [succ + pred for succ, pred in zip(g.successors(), g.predecessors())]
     # each vertex's distinct underlying neighbours: a digon or an arc along
     # an edge repeats one
-    h_near = [[*dict.fromkeys(s + p)] for s, p in zip(h.successors(), h.predecessors())]
+    g_near, h_near = (
+        [[*dict.fromkeys(s + p)] for s, p in zip(x.successors(), x.predecessors())]
+        for x in (g, h)
+    )
     roots = sorted(range(g.n), key=lambda v: (sig_g[v], v))
-    order, parent, _ = breadth_first_forest(near, roots)
+    order, parent, _ = breadth_first_forest(g_near, roots)
     same_sig: dict[tuple, list[int]] = {}
     for u in range(h.n):
         same_sig.setdefault(sig_h[u], []).append(u)
@@ -447,16 +451,14 @@ def _match(
         cands = same_sig[sig]
         if link is not None:
             cands = [u for u in h_near[mapping[link[0]]] if sig_h[u] == sig]
+        placed = [(w, mapping[w]) for w in g_near[v] if w in mapping]
         for pos in range(next_pos[depth], len(cands)):
             u = cands[pos]
-            if used[u]:
+            if used[u] or sum(used[x] for x in h_near[u]) != len(placed):
                 continue
-            pu = h.edge_partner[u]
-            if pv is not None and pv in mapping and mapping[pv] != pu:
-                continue
-            out_v, out_u = g_out[v], h_out[u]
-            for w, mw in mapping.items():
-                if (w in out_v) != (mw in out_u) or (v in g_out[w]) != (u in h_out[mw]):
+            pu, out_v, out_u = h.edge_partner[u], g_out[v], h_out[u]
+            for w, mw in placed:
+                if (w == pv, w in out_v, v in g_out[w]) != (mw == pu, mw in out_u, u in h_out[mw]):
                     break
             else:
                 mapping[v] = u
@@ -556,14 +558,16 @@ def format_edge_list(g: MixedGraph) -> str:
 
 
 def parse_edge_list(text: str) -> MixedGraph:
-    """Parse the canonical text form produced by :func:`format_edge_list`."""
+    """Parse the canonical text form produced by :func:`format_edge_list`.
+    The first non-blank line must be exactly ``mixedgraph N``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("mixedgraph "):
         raise MalformedGraphError("missing 'mixedgraph N' header line")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise MalformedGraphError("bad 'mixedgraph N' header line") from exc
+        _, count = lines[0].split()
+        n = int(count)
+    except ValueError as exc:
+        raise MalformedGraphError(f"bad 'mixedgraph N' header line: {lines[0]!r}") from exc
     edges, arcs = [], []
     for ln in lines[1:]:
         parts = ln.split()

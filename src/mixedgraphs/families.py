@@ -414,20 +414,21 @@ class LiftTemplate:
 
     The darts are walked once, into one link table: every dart at a base
     vertex u as (far end, dart, sign), with sign -1 when u is its head.
-    The rest is read off that table, once for every group order.  Whether
-    a lift is well formed depends only on congruences of one or two
-    voltages (Gross and Tucker, Topological Graph Theory): it is malformed
-    exactly when two links at one vertex with one far end join the same
-    lift vertices.  The steps that ``cover``, ``metrics.lift_diameter`` and
-    ``spectral.polynomial_matrix`` walk are the links less the backward
-    arc links.  A breadth-first spanning forest grown on the links is kept
-    as two tables: ``tree``, its steps (v, u, d, sign) from u to a new v,
-    and ``cotree``, every other dart as (d, u, v).  ``cycle_parities``
-    holds the length parity of each cotree dart's fundamental cycle, 1 when
-    (u, v), an arc loop too, joins two vertices of equal depth parity.  The
-    base is ``bipartite`` exactly when no such cycle is odd, and then so is
-    every lift, as a lift's closed walks project to closed walks of the
-    same length.
+    The rest is read off that table, once for every group order.  Whether a
+    lift is well formed depends only on congruences of one or two voltages
+    (Gross and Tucker, Topological Graph Theory): it is malformed exactly
+    when two links at one vertex with one far end join the same lift
+    vertices.  The steps that ``cover``, ``metrics.lift_diameter``,
+    ``spectral.polynomial_matrix`` and ``search``'s text key walk are the
+    links less the backward arc links.  A breadth-first spanning forest
+    grown on the links is kept as two tables: ``tree``, its steps (v, u,
+    d, sign) from u to a new v, and ``cotree``, every other dart as
+    (d, u, v).
+    ``cycle_parities`` holds the length parity of each cotree dart's
+    fundamental cycle, 1 when (u, v), an arc loop too, joins two vertices
+    of equal depth parity.  The base is ``bipartite`` exactly when no such
+    cycle is odd, and then so is every lift, as a lift's closed walks
+    project to closed walks of the same length.
 
     ``voltage_class(q, voltages)`` keys a lift up to isomorphism.
     Relabelling lift vertex (b, x) as (b, x - p(b)), for any shifts p, is
@@ -584,40 +585,6 @@ class LiftTemplate:
             n=self.n * q, edge_partner=tuple(partner), out_arcs=tuple(out_arcs)
         )
 
-    def fibre_lines(
-        self, q: int, b: int, voltages: Sequence[int]
-    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Fibre b's lines of ``format_edge_list(self.cover(q, voltages))``,
-        for a well-formed lift: the "E" lines of the edges whose lesser end
-        lies over b, and the "A" lines of the arcs whose tail does, each in
-        the text's order.  The text is its header, then every fibre's "E"
-        lines, then every fibre's "A" lines, fibre 0 first.  They depend
-        only on the voltages of b's steps.  Voltages are taken modulo q."""
-        n_edges = len(self.edge_darts)
-        edges, arcs = [], []
-        for head, d, sign in map(self.steps.__getitem__, self.steps_from[b]):
-            # the step from lift vertex (b, x) ends at start + (x + shift) % q
-            step = (head * q, sign * voltages[d] % q)
-            if d >= n_edges:
-                arcs.append(step)
-            elif head > b:
-                edges.append(step)
-
-        def lines(kind: str, steps: list[tuple[int, int]]) -> tuple[str, ...]:
-            return tuple(
-                f"{kind} {b * q + x} {end}"
-                for x in range(q)
-                for end in sorted(start + (x + shift) % q for start, shift in steps)
-            )
-
-        return lines("E", edges), lines("A", arcs)
-
-    def labelled(self, g: MixedGraph) -> MixedGraph:
-        """A lift this template made, with vertex (b, x) labelled "(b,x)"."""
-        q = g.n // self.n
-        labels = tuple(f"({b},{x})" for b in range(self.n) for x in range(q))
-        return replace(g, labels=labels)
-
 
 def _checked_darts(darts: Sequence[tuple[int, int]], n: int) -> tuple[tuple[int, int], ...]:
     pairs = []
@@ -650,6 +617,7 @@ def four_vertex_template() -> LiftTemplate:
 def lift(template: LiftTemplate, q: int, voltages: Sequence[int]) -> MixedGraph:
     """The covering graph of the voltage graph (template, q, voltages).
 
+    The one builder of a labelled lift, ``lift_search``'s witnesses too.
     Vertex (b, x) gets index b*q + x and the label "(b,x)".  An edge dart
     (u, v) with voltage g produces the edges {(u,x), (v,x+g)} for every x;
     an arc dart produces the arcs (u,x) -> (v,x+g).  The order is n*q.
@@ -667,7 +635,8 @@ def lift(template: LiftTemplate, q: int, voltages: Sequence[int]) -> MixedGraph:
             f"lift over Z_{q} is not a valid mixed graph: it has a loop, two"
             " edges at a vertex, a repeated arc, a digon or an arc along an edge"
         )
-    return template.labelled(g)
+    labels = tuple(f"({b},{x})" for b in range(template.n) for x in range(q))
+    return replace(g, labels=labels)
 
 
 def bdm5_base() -> tuple[LiftTemplate, int, tuple[int, ...]]:

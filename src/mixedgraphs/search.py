@@ -28,10 +28,9 @@ no graph).  A connected lift is bipartite exactly when the base is, or
 when q is even and every class voltage has the parity of its fundamental
 cycle (``LiftTemplate.lifts_bipartite``); a disconnected one fails the
 diameter test.  The witnesses are ranked by their canonical text without
-rendering it: each fibre's lines come from ``LiftTemplate.fibre_lines``,
-once per fibre voltages and group order, and their tuple orders and
-equates lifts as the text does.  So a lift is built only for a kept
-witness, once the search is over.
+rendering it, by the heads of its lines alone (``_text_key``).  A lift is
+built only for a kept witness, once the search is over, by
+``families.lift``.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MixedGraph, format_edge_list, isomorphism_classes
 from .errors import UnsupportedParameterError
-from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph
+from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph, lift
 from .metrics import diameter, lift_diameter
 
 _WITNESS_CAP = 8
@@ -57,8 +56,8 @@ class SearchReport:
     ``witnesses`` holds representatives up to isomorphism, sorted by their
     canonical edge-list text.  ``lift_search`` keeps at most a fixed number
     of witnesses, the first by canonical text, ranked without building or
-    rendering a lift, and builds and classes only those, labelled;
-    ``exhaustive_max_order`` classes every witness.  ``wall_time`` is
+    rendering a lift, and builds (with ``families.lift``) and classes only
+    those; ``exhaustive_max_order`` classes every witness.  ``wall_time`` is
     informational only and excluded from serialization so that reruns with
     the same seed and budget serialize byte-identically.
     """
@@ -178,11 +177,10 @@ def lift_search(
     ``metrics.lift_diameter``.  Every candidate still counts, in the same
     order, so the report is the one a per-candidate judgement gives.  The
     witnesses kept are the first accepted assignments at the best order of
-    the smallest canonical texts, one per text, ranked by the lines each
-    fibre gives that text (``LiftTemplate.fibre_lines``) without a lift
-    being built.  A lift is built only for a kept witness, once the search
-    is over, labelled as ``families.lift`` labels it.  Reports are
-    byte-identical across reruns with the same arguments.
+    the smallest canonical texts, one per text, ranked by the heads of that
+    text's lines (``_text_key``) without a lift being built.  Only a kept
+    witness is built, once the search is over, by ``families.lift``.
+    Reports are byte-identical across reruns with the same arguments.
 
     Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
     group order below 1, before any candidate is evaluated; the template
@@ -223,8 +221,8 @@ def lift_search(
         # voltage class -> whether its lifts are well formed, bipartite and
         # of diameter <= k
         verdicts: dict[tuple[int, ...], bool] = {}
-        # fibre and its steps' voltages -> the fibre's lines, for _text_key
-        lines: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        # fibre and its steps' voltages -> the fibre's heads, for _text_key
+        heads: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
         for voltages in assignments:
             remaining -= 1
             voltage_class = template.voltage_class(q, voltages)
@@ -238,7 +236,7 @@ def lift_search(
             if accepted and (best_order is None or order >= best_order):
                 if best_order is None or order > best_order:
                     best_order, kept = order, {}
-                key = _text_key(template, q, voltages, lines)
+                key = _text_key(template, q, voltages, heads)
                 if key in kept:
                     continue
                 if len(kept) == _WITNESS_CAP:
@@ -247,9 +245,7 @@ def lift_search(
                         continue
                     del kept[worst]
                 kept[key] = (q, voltages)
-    witnesses = isomorphism_classes(
-        [template.labelled(template.cover(q, v)) for q, v in kept.values()]
-    )
+    witnesses = isomorphism_classes([lift(template, q, v) for q, v in kept.values()])
     return SearchReport(
         kind="lift",
         k=k,
@@ -267,21 +263,36 @@ def _text_key(
     template: LiftTemplate,
     q: int,
     voltages: Sequence[int],
-    lines: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]],
+    heads: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]],
 ) -> tuple[tuple[str, ...], ...]:
-    """The lines of ``format_edge_list(template.cover(q, voltages))`` below
-    its header, for a well-formed lift: each fibre's "E" lines, then each
-    fibre's "A" lines, from ``LiftTemplate.fibre_lines``.  ``lines`` holds
-    them for one q, by fibre and its steps' voltages.  Every assignment
-    gives a fibre the same number of lines, and a newline sorts below
-    every character of a line, so over one template and q the keys order
-    and equate assignments exactly as their texts do."""
+    """A key that orders and equates the well-formed lifts of one template
+    and q as ``format_edge_list(template.cover(q, voltages))`` does: each
+    fibre b's "E" block, then each fibre's "A" block.  An "E" block holds,
+    for each x, the numerically sorted heads of b's edge steps to fibres
+    above b, each as ``str(end)``; an "A" block the same for b's arc steps.
+    The text's lines read "E tail head" and "A tail head" in that order,
+    and every assignment puts the same tail on the same line, so, with a
+    newline sorting below every digit, the heads compare as the texts do.
+    ``heads`` holds the blocks for one q, by fibre and its steps' voltages."""
+    n_edges = len(template.edge_darts)
     blocks = []
     for b, steps in enumerate(template.steps_from):
         at = (b, *[voltages[template.steps[i][1]] for i in steps])
-        block = lines.get(at)
+        block = heads.get(at)
         if block is None:
-            block = lines[at] = template.fibre_lines(q, b, voltages)
+            edges, arcs = [], []
+            for head, d, sign in map(template.steps.__getitem__, steps):
+                # (start, shift): the step from (b, x) ends at start + (x + shift) % q
+                if d >= n_edges or head > b:
+                    (edges if d < n_edges else arcs).append((head * q, sign * voltages[d] % q))
+            block = heads[at] = tuple(
+                tuple(
+                    str(end)
+                    for x in range(q)
+                    for end in sorted(start + (x + shift) % q for start, shift in kind)
+                )
+                for kind in (edges, arcs)
+            )
         blocks.append(block)
     return (*(edges for edges, _ in blocks), *(arcs for _, arcs in blocks))
 

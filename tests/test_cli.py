@@ -429,6 +429,9 @@ def test_analyze_missing_file_is_an_error(tmp_path, capsys):
         '{"n": 2, "edges": [[0]], "arcs": []}',
         '{"n": 2, "edges": 5, "arcs": []}',
         '{"n": 2, "edges": [], "arcs": [], "labels": {"0": "a"}}',
+        '{"n": 2, "edges": [[0, 1]], "arcs": [], "labels": {"0": 5, "1": [1]}}',
+        '{"n": 2, "edges": [], "arcs": [], "labels": []}',
+        '{"n": 2, "edges": [], "arcs": [], "labels": {"0": "a", "1": "b", "7": 3}}',
         "{not json",
     ],
 )
@@ -449,6 +452,12 @@ def test_analyze_bad_json_keys_are_errors(tmp_path, capsys, payload):
 def test_analyze_rejects_json_booleans_as_ids(tmp_path, capsys, payload):
     path = tmp_path / "graph.json"
     path.write_text(payload)
+    assert_one_line_error(*run_cli(capsys, "analyze", str(path)))
+
+
+def test_analyze_rejects_a_header_with_more_than_the_order(tmp_path, capsys):
+    path = tmp_path / "graph.edges"
+    path.write_text("mixedgraph 3 7\nA 0 1\n")
     assert_one_line_error(*run_cli(capsys, "analyze", str(path)))
 
 

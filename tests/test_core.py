@@ -290,6 +290,17 @@ def test_matcher_without_signatures():
         assert not _match(g, flat, h, flat)
 
 
+def test_matcher_refuses_an_adjacency_to_a_placed_vertex():
+    # one signature for all: a directed path against a directed triangle.
+    # Placing 0, 1, 2 of the path, vertex 2's one placed neighbour, 1,
+    # matches in the triangle, but 2's image is also joined to 0's image
+    g = MixedGraph.build(3, arcs=[(0, 1), (1, 2)])
+    h = MixedGraph.build(3, arcs=[(0, 1), (1, 2), (2, 0)])
+    flat = [()] * 3
+    assert not _match(g, flat, h, flat)
+    assert _match(g, flat, g.relabelled([2, 0, 1]), flat)
+
+
 def test_canonical_form_domain():
     assert _canonical_form(bdm(300)) is not None
     assert _canonical_form(MixedGraph.build(1)) == (0,)

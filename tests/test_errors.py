@@ -38,6 +38,7 @@ CASES = [
     (lambda: validate_and_profile(MixedGraph(1, (0,), ((),))), MalformedGraphError),
     (lambda: validate_and_profile(MixedGraph(1, (None,), ((0,),))), MalformedGraphError),
     (lambda: parse_edge_list("mixedgraph x"), MalformedGraphError),
+    (lambda: parse_edge_list("mixedgraph 3 7"), MalformedGraphError),
     (lambda: graph_from_json("[]"), MalformedGraphError),
     (lambda: bd_digraph(1), UnsupportedParameterError),
     (lambda: walk_pattern(bdm(5), 20, "EA"), UnsupportedParameterError),
@@ -48,9 +49,9 @@ CASES = [
 ]
 IDS = [
     "build-negative-n", "build-huge-n", "build-labels-length", "self-loop-edge",
-    "self-loop-arc", "bad-header", "json-not-an-object", "bd-digraph-m1",
-    "walk-start-out-of-range", "endpoint-modulus-0", "unknown-automorphism",
-    "non-square-matrix", "huge-cover",
+    "self-loop-arc", "bad-header", "header-extra-field", "json-not-an-object",
+    "bd-digraph-m1", "walk-start-out-of-range", "endpoint-modulus-0",
+    "unknown-automorphism", "non-square-matrix", "huge-cover",
 ]
 
 

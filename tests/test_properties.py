@@ -23,6 +23,7 @@ from mixedgraphs import (
     distances_from,
     eccentricity_report,
     format_edge_list,
+    four_vertex_template,
     isomorphism_classes,
     lift,
     lift_diameter,
@@ -773,11 +774,11 @@ def test_template_derivations_match_the_references(candidate):
 
 
 @st.composite
-def voltage_bases(draw):
+def voltage_bases(draw, q_max=6):
     """A voltage graph (template, q, voltages) with loops and repeated darts
-    allowed, and now and then a voltage outside Z_q."""
+    allowed, q at most q_max, and now and then a voltage outside Z_q."""
     n = draw(st.integers(min_value=1, max_value=4))
-    q = draw(st.integers(min_value=1, max_value=6))
+    q = draw(st.integers(min_value=1, max_value=q_max))
     dart = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     template = LiftTemplate(
         n=n,
@@ -959,18 +960,15 @@ def test_voltage_class_matches_the_symbolic_cycles(voltage_graph):
 
 
 @st.composite
-def voltage_pairs(draw):
-    """A voltage graph from voltage_bases() and a second assignment on its
-    template and group order, sharing some of the first's voltages."""
-    template, q, voltages = draw(voltage_bases())
+def voltage_pairs(draw, q_max=6):
+    """A voltage graph from voltage_bases(q_max) and a second assignment on
+    its template and group order, sharing some of the first's voltages."""
+    template, q, voltages = draw(voltage_bases(q_max))
     others = tuple(draw(st.just(v) | st.integers(-1, q)) for v in voltages)
     return template, q, voltages, others
 
 
-@settings(max_examples=500)
-@given(voltage_pairs())
-def test_text_key_compares_as_the_text(case):
-    template, q, voltages, others = case
+def assert_text_key_compares_as_the_text(template, q, voltages, others) -> None:
     g, h = template.cover(q, voltages), template.cover(q, others)
     if g is None or h is None:
         return
@@ -978,3 +976,19 @@ def test_text_key_compares_as_the_text(case):
     key, other_key = (_text_key(template, q, v, lines) for v in (voltages, others))
     text, other_text = format_edge_list(g), format_edge_list(h)
     assert (key < other_key, key == other_key) == (text < other_text, text == other_text)
+
+
+@settings(max_examples=500)
+@given(voltage_pairs())
+def test_text_key_compares_as_the_text(case):
+    assert_text_key_compares_as_the_text(*case)
+
+
+@settings(max_examples=200)
+@given(voltage_pairs(q_max=60))
+# the texts first differ on the line "A 180 4" against "A 180 48"
+@example((four_vertex_template(), 60, (58, 26, 28, 4, 13, 9), (58, 26, 28, 48, 13, 9)))
+def test_text_key_compares_as_the_text_past_two_digits(case):
+    # covers of up to 240 vertices, so ids of up to three digits: where one
+    # head is a prefix of the other, the text's newline sorts below a digit
+    assert_text_key_compares_as_the_text(*case)

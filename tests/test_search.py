@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -513,7 +514,13 @@ def reference_lift_search(k, template, q_range, budget, seed):
                         continue
                     del kept[worst]
                 kept[text] = g
-    witnesses = isomorphism_classes([template.labelled(g) for g in kept.values()])
+    # vertex (b, x) labelled "(b,x)", as families.lift labels it
+    witnesses = isomorphism_classes([
+        dataclasses.replace(g, labels=tuple(
+            f"({b},{x})" for b in range(template.n) for x in range(g.n // template.n)
+        ))
+        for g in kept.values()
+    ])
     return search.SearchReport(
         kind="lift",
         k=k,
@@ -607,6 +614,19 @@ def test_lift_search_builds_covers_only_for_kept_witnesses(monkeypatch, k, templ
     assert expected and sorted(built) == sorted(expected)
     assert report.best_order == template.n * q
     assert report.serialize() == reference_lift_search(k, template, [q], budget, 1).serialize()
+
+
+@pytest.mark.parametrize(
+    "k, template, q", [(6, four_vertex_template(), 5), (5, two_vertex_template(), 9)],
+    ids=["four", "two"],
+)
+def test_lift_search_witnesses_carry_the_lift_labels(k, template, q):
+    # serialize() drops labels: every witness is labelled as families.lift
+    # labels a lift, vertex (b, x) as "(b,x)"
+    report = lift_search(k, template, [q], 20000, seed=1)
+    labels = tuple(f"({b},{x})" for b in range(template.n) for x in range(q))
+    assert report.witnesses
+    assert all(g.labels == labels for g in report.witnesses)
 
 
 def test_one_diameter_per_voltage_class():
