@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedParameterError
+from .errors import check_int
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,8 @@ def moore_bipartite(r: int, z: int, k: int) -> int:
     M(1) = 2 and M(2) = 2d.  For r = z = 1 it reduces to
     M(k) = M(k-1) + M(k-2) + 2.
     """
-    _require(r >= 1, f"undirected degree must be >= 1, got {r}")
-    _require(z >= 1, f"directed degree must be >= 1, got {z}")
-    _require(k >= 1, f"diameter must be >= 1, got {k}")
-    d = r + z
+    d = check_int(r, "undirected degree", 1) + check_int(z, "directed degree", 1)
+    check_int(k, "diameter", 1)
     older, old, cur = 0, 2, 2 * d  # M(0), M(1), M(2)
     if k == 1:
         return old
@@ -52,7 +50,7 @@ def eta(t: int) -> int:
     recurrence from the fourth term on.  Computed by integer recurrence; the
     square-root closed form is kept out of the code path on purpose.
     """
-    _require(t >= 1, f"chain level must be >= 1, got {t}")
+    check_int(t, "chain level", 1)
     if t <= 3:
         return 1
     prev, cur = 1, 1  # eta(2), eta(3)
@@ -68,7 +66,7 @@ def improved_bound(k: int) -> int:
 
     Defined for k >= 3; at k = 3 the Moore bound itself is already tight.
     """
-    _require(k >= 3, f"improved bound needs diameter >= 3, got {k}")
+    check_int(k, "improved bound's diameter", 3)
     # odd k: the chains at even levels s = 2t, t = 1..half-1; even k: a
     # chain of half levels plus those at odd levels s = 2t-1, t = 2..half-1
     half = k // 2
@@ -83,7 +81,7 @@ def improved_bound(k: int) -> int:
 
 def crm_upper(k: int) -> int:
     """Largest order a chordal ring mixed graph of diameter k can reach."""
-    _require(k >= 1, f"diameter must be >= 1, got {k}")
+    check_int(k, "diameter", 1)
     if k % 2 == 1:
         return (k + 1) ** 2 // 2
     return k * (k + 2) // 2
@@ -101,8 +99,3 @@ def bounds_report(k: int) -> BoundsReport:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UnsupportedParameterError(message)

@@ -25,6 +25,7 @@ from .core import (
     verify_automorphism,
 )
 from .errors import MalformedGraphError, MixedGraphError, UnsupportedParameterError
+from .errors import check_int, require
 from .families import BdmVertex, edge_first_pattern, path_endpoint_formula
 
 
@@ -187,24 +188,24 @@ def _construct_graph(args: argparse.Namespace) -> MixedGraph:
     family = args.family
     for option in ("m", "n", "c", "convention"):
         given = getattr(args, option) is not None
-        _need(not given or option in _CONSTRUCT_OPTIONS[family],
-              f"{family} does not take --{option}")
+        require(not given or option in _CONSTRUCT_OPTIONS[family],
+                f"{family} does not take --{option}")
     if family == "bdm":
-        _need((args.m is None) != (args.n is None), "bdm needs one of --m and --n")
+        require((args.m is None) != (args.n is None), "bdm needs one of --m and --n")
         if args.m is not None:
             return families.bdm(args.m)
         return families.bdm_canonical(args.n)[1]
     if family == "bdm-star":
-        _need(args.m is not None, "bdm-star needs --m")
+        require(args.m is not None, "bdm-star needs --m")
         return families.bdm_star(args.m)
     if family == "bd":
-        _need(args.m is not None, "bd needs --m")
+        require(args.m is not None, "bd needs --m")
         return families.bd_digraph(args.m)
     if family == "crm":
-        _need(args.n is not None and args.c is not None, "crm needs --n and --c")
+        require(args.n is not None and args.c is not None, "crm needs --n and --c")
         return families.crm(args.n, args.c)
     if family == "cdrm":
-        _need(args.m is not None and args.c is not None, "cdrm needs --m and --c")
+        require(args.m is not None and args.c is not None, "cdrm needs --m and --c")
         return families.cdrm(args.m, args.c, args.convention or "shift")
     return families.lift(*families.bdm5_base())
 
@@ -407,9 +408,7 @@ def graph_from_json(text: str) -> MixedGraph:
         raise MalformedGraphError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedGraphError("JSON graph must be an object")
-    n = payload.get("n")
-    if type(n) is not int:
-        raise MalformedGraphError(f"JSON key 'n' must be an integer, got {n!r}")
+    n = check_int(payload.get("n"), "JSON key 'n'", error=MalformedGraphError)
     pairs = {key: _json_pairs(payload, key) for key in ("edges", "arcs")}
     labels = payload.get("labels")
     if labels in (None, {}):  # graph_to_json writes {} for an unlabelled graph
@@ -435,11 +434,13 @@ def _json_pairs(payload: dict, key: str) -> list[tuple]:
 
 
 def graph_to_dot(g: MixedGraph) -> str:
-    """DOT export: edges as dir=none arrows, arcs as plain directed arrows."""
+    """DOT export: edges as dir=none arrows, arcs as plain directed arrows.
+    A label's backslashes and double quotes are escaped."""
     lines = ["digraph mixedgraph {"]
     for v in range(g.n):
         if g.labels is not None:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in g.edges():
@@ -456,11 +457,6 @@ def _fmt_ecc(value: float) -> str:
 
 def _fmt_complex(value: complex) -> str:
     return f"{value.real:+.4f}{value.imag:+.4f}i"
-
-
-def _need(condition: bool, message: str) -> None:
-    if not condition:
-        raise UnsupportedParameterError(message)
 
 
 if __name__ == "__main__":

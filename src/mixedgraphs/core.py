@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BadPermutationError, MalformedGraphError
+from .errors import BadPermutationError, MalformedGraphError, check_int, require
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,12 @@ class MixedGraph:
     ) -> "MixedGraph":
         """Construct a graph from edge and arc lists, checking structure.
 
-        Raises MalformedGraphError for a vertex count outside 0..sys.maxsize,
-        out-of-range ids, self-loops, a vertex with two edges, or duplicate
-        edges/arcs.  Digons and arc/edge parallel pairs are representable;
-        ``validate_and_profile`` rejects them.
+        Raises MalformedGraphError for a vertex count or id that is not an
+        int in range (0..sys.maxsize, 0..n-1), self-loops, a vertex with two
+        edges, or duplicate edges/arcs.  Digons and arc/edge parallel pairs
+        are representable; ``validate_and_profile`` rejects them.
         """
-        if not 0 <= n <= sys.maxsize:
-            raise MalformedGraphError(f"vertex count must be in 0..{sys.maxsize}, got {n}")
+        check_int(n, "vertex count", 0, sys.maxsize, MalformedGraphError)
         partner: list[Optional[int]] = [None] * n
         for u, v in edges:
             _check_vertex(u, n)
@@ -312,10 +311,7 @@ def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
     sharing a bucket.  The matcher maps vertices only onto vertices of
     equal signature, and places them in breadth-first order, so each vertex
     after a component's first goes onto a neighbour of its parent's image.
-    Its worst case is still exponential in the order, but ``bd_digraph(20)``
-    and ``bd_digraph(64)`` against random relabellings of themselves take
-    1 to 4 ms each, and ``bd_digraph(300)`` and ``bd_digraph(600)`` 0.05 to
-    0.25 s, on a 2-CPU host with Python 3.11.
+    Its worst case is still exponential in the order.
     """
     reps: list[MixedGraph] = []
     forms: set[tuple[int, ...]] = set()
@@ -559,13 +555,16 @@ def format_edge_list(g: MixedGraph) -> str:
 
 def parse_edge_list(text: str) -> MixedGraph:
     """Parse the canonical text form produced by :func:`format_edge_list`.
-    The first non-blank line must be exactly ``mixedgraph N``."""
+    The first non-blank line must be exactly ``mixedgraph N``, and every
+    integer plain ASCII decimal, as ``str`` writes it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("mixedgraph "):
         raise MalformedGraphError("missing 'mixedgraph N' header line")
     try:
         _, count = lines[0].split()
         n = int(count)
+        if str(n) != count:
+            raise ValueError("not plain decimal")
     except ValueError as exc:
         raise MalformedGraphError(f"bad 'mixedgraph N' header line: {lines[0]!r}") from exc
     edges, arcs = [], []
@@ -575,6 +574,8 @@ def parse_edge_list(text: str) -> MixedGraph:
             raise MalformedGraphError(f"bad line in edge list: {ln!r}")
         try:
             u, v = int(parts[1]), int(parts[2])
+            if str(u) != parts[1] or str(v) != parts[2]:
+                raise ValueError("not plain decimal")
         except ValueError as exc:
             raise MalformedGraphError(f"bad vertex id in line: {ln!r}") from exc
         (edges if parts[0] == "E" else arcs).append((u, v))
@@ -582,14 +583,13 @@ def parse_edge_list(text: str) -> MixedGraph:
 
 
 def _check_vertex(v: int, n: int) -> None:
-    # type() rather than isinstance(): bool is an int subclass, and True or
-    # False (from JSON, say) must not pass as vertex 1 or 0.
+    # errors.check_int's rule, written out: this runs once per endpoint of
+    # every graph built or validated.
     if type(v) is not int or not 0 <= v < n:
         raise MalformedGraphError(f"vertex id {v!r} out of range 0..{n - 1}")
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise BadPermutationError(f"not a permutation of 0..{n - 1}")
+    perm = tuple([check_int(v, "permutation entry", error=BadPermutationError) for v in perm])
+    require(sorted(perm) == list(range(n)), f"not a permutation of 0..{n - 1}", BadPermutationError)
     return perm

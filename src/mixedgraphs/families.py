@@ -30,6 +30,8 @@ from .errors import (
     NonDivisibleError,
     ParityError,
     UnsupportedParameterError,
+    check_int,
+    require,
 )
 from .metrics import lift_diameter as _lift_diameter
 
@@ -57,14 +59,13 @@ class BdmVertex:
 
 def canonical_m(n: int) -> int:
     """The modulus 2^(n-1) + 2^(n-3) = 5 * 2^(n-3); integral only for n >= 3."""
-    if n < 3:
-        raise UnsupportedParameterError(f"canonical modulus needs n >= 3, got {n}")
+    check_int(n, "doubling parameter", 3)
     return 2 ** (n - 1) + 2 ** (n - 3)
 
 
 def doubling_parameter(m: int) -> Optional[int]:
     """The n with m = 5 * 2^(n-3), or None if m is not of that form."""
-    if m >= 5 and m % 5 == 0:
+    if check_int(m, "modulus") >= 5 and m % 5 == 0:
         q = m // 5
         if q & (q - 1) == 0:
             return q.bit_length() + 2
@@ -103,8 +104,7 @@ def bdm(m: int) -> MixedGraph:
     (0,i)_0 -> (1,2i)_1, (0,i)_1 -> (1,2i+1)_0, (1,i)_0 -> (0,-2i-1)_1 and
     (1,i)_1 -> (0,-2i-2)_0, all modulo m.
     """
-    if m < 2:
-        raise UnsupportedParameterError(f"modulus must be >= 2, got {m}")
+    check_int(m, "modulus", 2)
     return _doubled(m, m)
 
 
@@ -127,10 +127,7 @@ def bdm_star(m: int) -> MixedGraph:
     successful return is already certified in-degree-1 everywhere.
     """
     n = doubling_parameter(m)
-    if n is None or n <= 3:
-        raise UnsupportedParameterError(
-            f"modulus must be 5 * 2^(n-3) with n > 3, got {m}"
-        )
+    require(n is not None and n > 3, f"modulus must be 5 * 2^(n-3) with n > 3, got {m}")
     g = _doubled(m, m // 2)
     _assert_star_in_neighbours(g, m)
     return g
@@ -162,8 +159,7 @@ def bd_digraph(m: int) -> MixedGraph:
     modulo m.  Contracting the edges of :func:`bdm` yields exactly this graph
     under the shared index encoding.
     """
-    if m < 2:
-        raise UnsupportedParameterError(f"modulus must be >= 2, got {m}")
+    check_int(m, "modulus", 2)
     labels = [f"({alpha},{i})" for alpha in (0, 1) for i in range(m)]
     arcs = [
         (alpha * m + i, (1 - alpha) * m + _doubling_head(alpha, i, t, m))
@@ -185,8 +181,7 @@ def walk_pattern(g: MixedGraph, start: int, pattern: str) -> frozenset[int]:
     out-arc).  The empty pattern yields {start}; a walk that cannot continue
     contributes nothing.
     """
-    if not 0 <= start < g.n:
-        raise UnsupportedParameterError(f"start {start} out of range 0..{g.n - 1}")
+    check_int(start, "start", 0, g.n - 1)
     current = {start}
     for step in pattern:
         if step == "E":
@@ -200,7 +195,7 @@ def walk_pattern(g: MixedGraph, start: int, pattern: str) -> frozenset[int]:
 
 def edge_first_pattern(steps: int) -> str:
     """Alternating walk E(AE)^steps, the longest worst-case route."""
-    return "E" + "AE" * steps
+    return "E" + "AE" * check_int(steps, "steps", 0)
 
 
 def arc_first_pattern(steps: int) -> str:
@@ -210,12 +205,14 @@ def arc_first_pattern(steps: int) -> str:
     endpoint from a (0,i)_1 start coincides modulo the canonical modulus with
     the edge-first walk one index higher.
     """
+    check_int(steps, "steps", 0)
     return "A" + "EA" * min(steps, 2) + "AE" * max(steps - 2, 0)
 
 
 def double_arc_pattern(steps: int) -> str:
     """Walk opening with two arcs; from a (1,i)_1 start its endpoint matches
     the edge-first walk three indices higher modulo the canonical modulus."""
+    check_int(steps, "steps", 0)
     return "A" if steps == 0 else "AA" + "EA" * (steps - 1) + "E"
 
 
@@ -231,16 +228,15 @@ def path_endpoint_formula(
     always exact for the stated parities and a failure signals a
     transcription bug, not bad input.
     """
-    if m < 1:
-        raise UnsupportedParameterError(f"modulus must be >= 1, got {m}")
+    check_int(i, "index")
+    check_int(m, "modulus", 1)
+    check_int(n, "walk length", error=ParityError)
     if kind == "phi":
-        if n < 2 or n % 2 != 0:
-            raise ParityError(f"phi needs even n >= 2, got {n}")
+        require(n >= 2 and n % 2 == 0, f"phi needs even n >= 2, got {n}", ParityError)
         sign = -1 if (n // 2) % 2 else 1
         numerator = 2**n - sign
     elif kind == "psi":
-        if n < 1 or n % 2 != 1:
-            raise ParityError(f"psi needs odd n >= 1, got {n}")
+        require(n >= 1 and n % 2 == 1, f"psi needs odd n >= 1, got {n}", ParityError)
         sign = -1 if ((n + 1) // 2) % 2 else 1
         numerator = 2 ** (n + 1) - sign
     else:
@@ -265,14 +261,12 @@ def named_automorphism(which: AutomorphismName, v: BdmVertex, m: int) -> BdmVert
     alpha = 0 and 2^(n-2) when alpha = 1, keeping beta; it has order five and
     requires the canonical modulus.
     """
+    check_int(m, "modulus", 1)
     if which == "reflect":
         return BdmVertex(v.alpha, (-v.i - 1) % m, 1 - v.beta)
     if which == "shift":
         n = doubling_parameter(m)
-        if n is None:
-            raise UnsupportedParameterError(
-                f"shift automorphism needs a canonical modulus, got {m}"
-            )
+        require(n is not None, f"shift automorphism needs a canonical modulus, got {m}")
         amount = 2 ** (n - 2) if v.alpha == 1 else 2 ** (n - 3)
         return BdmVertex(v.alpha, (v.i + amount) % m, v.beta)
     raise UnsupportedParameterError(f"unknown automorphism {which!r}")
@@ -280,7 +274,7 @@ def named_automorphism(which: AutomorphismName, v: BdmVertex, m: int) -> BdmVert
 
 def automorphism_permutation(which: AutomorphismName, m: int) -> tuple[int, ...]:
     """The automorphism as a permutation of the integer vertex encoding."""
-    perm = [0] * (4 * m)
+    perm = [0] * (4 * check_int(m, "modulus", 1))
     for idx in range(4 * m):
         perm[idx] = named_automorphism(which, BdmVertex.from_index(idx, m), m).index(m)
     return tuple(perm)
@@ -323,10 +317,10 @@ def crm(n: int, c: int) -> MixedGraph:
 
 
 def _check_crm(n: int, c: int) -> None:
-    if n < 6 or n % 2 != 0:
-        raise UnsupportedParameterError(f"ring length must be even >= 6, got {n}")
-    if not (3 <= c <= n - 3) or c % 2 != 1:
-        raise UnsupportedParameterError(f"chord length must be odd in 3..{n - 3}, got {c}")
+    check_int(n, "ring length")
+    check_int(c, "chord length")
+    require(n >= 6 and n % 2 == 0, f"ring length must be even >= 6, got {n}")
+    require(3 <= c <= n - 3 and c % 2 == 1, f"chord length must be odd in 3..{n - 3}, got {c}")
 
 
 def crm_optimal(k: int) -> CrmParams:
@@ -340,8 +334,7 @@ def crm_optimal(k: int) -> CrmParams:
     The chordal ring's voltage graph is checked to have diameter exactly k
     before the parameters are returned.
     """
-    if k < 3:
-        raise UnsupportedParameterError(f"optimal chordal ring needs k >= 3, got {k}")
+    check_int(k, "optimal chordal ring's diameter", 3)
     if k % 2 == 1:
         ell = (k + 1) // 2
         params = CrmParams(k=k, case="a", n=2 * ell * ell, c=k, ell=ell, t=None)
@@ -394,12 +387,11 @@ def cdrm(m: int, c: int, convention: CdrmConvention = "shift") -> MixedGraph:
 
 
 def _check_cdrm(m: int, c: int, convention: str) -> None:
-    if m < 4 or m % 2 != 0:
-        raise UnsupportedParameterError(f"ring length must be even >= 4, got {m}")
-    if c % 2 != 1:
-        raise UnsupportedParameterError(f"chord length must be odd, got {c}")
-    if convention not in ("shift", "reflect"):
-        raise UnsupportedParameterError(f"unknown convention {convention!r}")
+    check_int(m, "ring length")
+    check_int(c, "chord length")
+    require(m >= 4 and m % 2 == 0, f"ring length must be even >= 4, got {m}")
+    require(c % 2 == 1, f"chord length must be odd, got {c}")
+    require(convention in ("shift", "reflect"), f"unknown convention {convention!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +440,7 @@ class LiftTemplate:
         edge_darts: Sequence[tuple[int, int]],
         arc_darts: Sequence[tuple[int, int]],
     ) -> None:
-        # type() rather than isinstance(), as in core._check_vertex: True
-        # must not pass as 1.
-        if type(n) is not int or n < 1:
-            raise MalformedBaseError(f"base needs an int >= 1 of vertices, got {n!r}")
-        self.n = n
+        self.n = check_int(n, "base vertex count", 1, error=MalformedBaseError)
         self.edge_darts = _checked_darts(edge_darts, n)
         self.arc_darts = _checked_darts(arc_darts, n)
         # Lift vertex (u, x) is joined along link (w, d, s) to (w, x + s*g_d).
@@ -517,17 +505,15 @@ class LiftTemplate:
         return len(self.edge_darts) + len(self.arc_darts)
 
     def check_voltages(self, q: int, voltages: Sequence[int]) -> None:
-        """Raise MalformedBaseError unless q >= 1 and voltages holds one
-        element of 0..q-1 per dart, edge darts first."""
-        if q < 1:
-            raise MalformedBaseError(f"group order must be >= 1, got {q}")
+        """Raise MalformedBaseError unless q is an int >= 1 and voltages
+        holds one int in 0..q-1 per dart, edge darts first."""
+        check_int(q, "group order", 1, error=MalformedBaseError)
         if len(voltages) != self.dart_count:
             raise MalformedBaseError(
                 f"{self!r} takes {self.dart_count} voltages, got {len(voltages)}"
             )
         for voltage in voltages:
-            if not 0 <= voltage < q:
-                raise MalformedBaseError(f"voltage {voltage} outside Z_{q}")
+            check_int(voltage, "voltage", 0, q - 1, MalformedBaseError)
 
     def well_formed(self, q: int, voltages: Sequence[int]) -> bool:
         """Whether the lift over Z_q is a well-formed mixed graph, decided
@@ -593,8 +579,8 @@ def _checked_darts(darts: Sequence[tuple[int, int]], n: int) -> tuple[tuple[int,
             u, v = dart
         except (TypeError, ValueError):
             raise MalformedBaseError(f"dart {dart!r} is not a (tail, head) pair") from None
-        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
-            raise MalformedBaseError(f"dart {dart!r} has an endpoint outside 0..{n - 1}")
+        for end in (u, v):
+            check_int(end, f"endpoint of dart {dart!r}", 0, n - 1, MalformedBaseError)
         pairs.append((u, v))
     return tuple(pairs)
 

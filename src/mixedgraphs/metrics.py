@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .core import MixedGraph, ball_rounds, breadth_first_forest
-from .errors import MalformedBaseError, UnsupportedParameterError
+from .errors import MalformedBaseError, check_int, require
 
 if TYPE_CHECKING:  # families imports this module
     from .families import LiftTemplate
@@ -72,8 +72,7 @@ class EccentricityReport:
 def distances_from(g: MixedGraph, src: int) -> list[int]:
     """Shortest mixed-path lengths from src to every vertex: the depths of
     the breadth-first tree from src, UNREACHABLE (-1) where it has none."""
-    if not 0 <= src < g.n:
-        raise UnsupportedParameterError(f"source {src} out of range 0..{g.n - 1}")
+    check_int(src, "source", 0, g.n - 1)
     return breadth_first_forest(g.successors(), [src])[2]
 
 
@@ -117,22 +116,21 @@ def lift_diameter(
     The fibres' shifts are automorphisms, so this is the largest
     eccentricity of the n representatives (b, 0), whose balls the kernel
     grows by rotation.  A dart with voltage g steps by g, and an edge dart
-    also back by -g.  Voltages are taken modulo q; an assignment that
+    also back by -g.  Voltages are ints taken modulo q; an assignment that
     ``LiftTemplate.cover`` rejects as malformed is measured too.  Raises
-    MalformedBaseError for q < 1 or a wrong number of voltages, and
-    UnsupportedParameterError for a cover of more than sys.maxsize vertices.
+    MalformedBaseError unless q is an int >= 1 and there is one int voltage
+    per dart, and UnsupportedParameterError for a cover of more than
+    sys.maxsize vertices.
     """
-    if q < 1:
-        raise MalformedBaseError(f"group order must be >= 1, got {q}")
-    if template.n * q > sys.maxsize:
-        raise UnsupportedParameterError(
-            f"a cover of {template.n * q} vertices exceeds {sys.maxsize}"
-        )
+    n = template.n
+    check_int(q, "group order", 1, error=MalformedBaseError)
+    require(n * q <= sys.maxsize, f"a cover of {n * q} vertices exceeds {sys.maxsize}")
     if len(voltages) != template.dart_count:
         raise MalformedBaseError(
             f"{template!r} takes {template.dart_count} voltages, got {len(voltages)}"
         )
-    n = template.n
+    for voltage in voltages:
+        check_int(voltage, "voltage", error=MalformedBaseError)
     views = [(head, sign * voltages[i] % q * n) for head, i, sign in template.steps]
     rounds = ball_rounds(template.steps_from, q, views)
     return _last_round(rounds, n, (1 << n * q) - 1)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MixedGraph, format_edge_list, isomorphism_classes
-from .errors import UnsupportedParameterError
+from .errors import check_int, require
 from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph, lift
 from .metrics import diameter, lift_diameter
 
@@ -107,15 +107,15 @@ def exhaustive_max_order(
     each cycle type of p: its centraliser C(p) is listed in full, with two
     lists of length h = n/2 per element, before the first candidate, so
     O(|C(p)| h) time and memory (|C(p)| = h for the first, single-cycle p).
-    Raises UnsupportedParameterError for k < 1, an odd or too small order
-    cap, or a budget below 1, before any candidate is evaluated.
+    Raises UnsupportedParameterError unless k is an int >= 1, the order cap
+    an even int >= 2 and the budget None or an int >= 1, before any
+    candidate is evaluated.
     """
-    if k < 1:
-        raise UnsupportedParameterError(f"diameter must be >= 1, got {k}")
-    if n_max < 2 or n_max % 2 != 0:
-        raise UnsupportedParameterError(f"order cap must be even >= 2, got {n_max}")
-    if budget is not None and budget < 1:
-        raise UnsupportedParameterError(f"budget must be positive, got {budget}")
+    check_int(k, "diameter", 1)
+    check_int(n_max, "order cap")
+    require(n_max >= 2 and n_max % 2 == 0, f"order cap must be even >= 2, got {n_max}")
+    if budget is not None:
+        check_int(budget, "budget", 1)
     start = time.perf_counter()
     candidates = 0
     exhausted_budget = False
@@ -182,19 +182,14 @@ def lift_search(
     witness is built, once the search is over, by ``families.lift``.
     Reports are byte-identical across reruns with the same arguments.
 
-    Raises UnsupportedParameterError for k < 1, a nonpositive budget or a
-    group order below 1, before any candidate is evaluated; the template
-    checked its own shape when it was made.
+    Raises UnsupportedParameterError unless k, the budget and every group
+    order are ints >= 1 and the seed is an int, before any candidate is
+    evaluated; the template checked its own shape when it was made.
     """
-    if k < 1:
-        raise UnsupportedParameterError(f"diameter must be >= 1, got {k}")
-    if budget <= 0:
-        raise UnsupportedParameterError(f"budget must be positive, got {budget}")
-    orders = [int(q) for q in q_range]
-    for q in orders:
-        if q < 1:
-            raise UnsupportedParameterError(f"group order must be >= 1, got {q}")
-    orders = list(dict.fromkeys(orders))  # a repeated order is searched once
+    check_int(k, "diameter", 1)
+    check_int(budget, "budget", 1)
+    check_int(seed, "seed")
+    orders = list(dict.fromkeys(check_int(q, "group order", 1) for q in q_range))
     start = time.perf_counter()
     remaining = budget
     exhaustive = True
@@ -306,7 +301,7 @@ def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:
     isomorphic ring, under a given convention (see ``cdrm``), so the scan
     measures the voltage graph of chord 1 under each convention; none is
     built, and the chord returned is always 1.  Raises
-    UnsupportedParameterError for an odd m or m < 4, as ``cdrm`` does.
+    UnsupportedParameterError unless m is an even int >= 4, as ``cdrm`` does.
     """
     diameters: dict[CdrmConvention, float] = {
         convention: lift_diameter(*cdrm_voltage_graph(m, 1, convention))

@@ -20,7 +20,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NoConvergenceError, UnsupportedParameterError
+from .errors import NoConvergenceError, check_int, require
 from .families import LiftTemplate, bdm5_base
 
 _MAX_ITERATIONS = 500
@@ -81,11 +81,9 @@ def bdm5_polynomial_matrix() -> PolynomialMatrix:
 
 
 def evaluate_at_root(pm: PolynomialMatrix, r: int) -> ComplexMatrix:
-    """Evaluate the polynomial matrix entrywise at z = exp(2*pi*i*r/q)."""
-    if not 0 <= r < pm.group_order:
-        raise UnsupportedParameterError(
-            f"root index must lie in 0..{pm.group_order - 1}, got {r}"
-        )
+    """Evaluate the polynomial matrix entrywise at z = exp(2*pi*i*r/q).
+    Raises UnsupportedParameterError unless r is an int in 0..q-1."""
+    check_int(r, "root index", 0, pm.group_order - 1)
     z = cmath.exp(2j * cmath.pi * r / pm.group_order)
     return [
         [sum(coeff * z**power for power, coeff in cell) for cell in row]
@@ -103,8 +101,7 @@ def char_poly_eigenvalues(matrix: ComplexMatrix) -> list[complex]:
     residual below 1e-9, else NoConvergenceError is raised.
     """
     size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise UnsupportedParameterError("matrix must be square")
+    require(all(len(row) == size for row in matrix), "matrix must be square")
     if size == 0:
         return []
     coeffs = _char_poly(matrix)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from mixedgraphs import (
-    bdm, cli, diameter, families, format_edge_list, moore_bipartite, parse_edge_list,
+    MixedGraph, bdm, cli, diameter, families, format_edge_list, moore_bipartite, parse_edge_list,
 )
 from mixedgraphs.cli import graph_from_json, graph_to_dot, graph_to_json, main
 from mixedgraphs.errors import MalformedGraphError
@@ -168,6 +168,14 @@ def test_dot_export_shape():
     assert dot.startswith("digraph mixedgraph {")
     assert "[dir=none];" in dot
     assert 'label="(0,0)_0"' in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes_in_labels():
+    # graph_from_json accepts any string label, so a round trip can carry these
+    g = graph_from_json(graph_to_json(MixedGraph.build(2, edges=[(0, 1)], labels=['a"b', "c\\"])))
+    dot = graph_to_dot(g)
+    assert '  0 [label="a\\"b"];\n' in dot
+    assert '  1 [label="c\\\\"];\n' in dot
 
 
 def test_json_helpers_round_trip():
