@@ -102,9 +102,12 @@ def bdm(m: int) -> MixedGraph:
 
     Edges join (alpha,i)_0 with (alpha,i)_1; arcs follow the doubling rules
     (0,i)_0 -> (1,2i)_1, (0,i)_1 -> (1,2i+1)_0, (1,i)_0 -> (0,-2i-1)_1 and
-    (1,i)_1 -> (0,-2i-2)_0, all modulo m.
+    (1,i)_1 -> (0,-2i-2)_0, all modulo m.  Unless 5 divides m an arc and
+    the arc back out of its head close a digon (5i = -1, ..., -4 has a
+    solution mod m), so m must be a multiple of 5.
     """
-    check_int(m, "modulus", 2)
+    check_int(m, "modulus", 1)
+    require(m % 5 == 0, f"modulus must be a multiple of 5, got {m}")
     return _doubled(m, m)
 
 
@@ -157,7 +160,9 @@ def bd_digraph(m: int) -> MixedGraph:
 
     Adjacencies: (0,i) -> (1,2i), (1,2i+1) and (1,i) -> (0,-2i-1), (0,-2i-2),
     modulo m.  Contracting the edges of :func:`bdm` yields exactly this graph
-    under the shared index encoding.
+    under the shared index encoding.  Every m >= 2 is accepted: a digraph
+    may hold 2-cycles, which it does unless 5 divides m, so for such m
+    ``validate_and_profile`` (whose mixed graphs have no digons) rejects it.
     """
     check_int(m, "modulus", 2)
     labels = [f"({alpha},{i})" for alpha in (0, 1) for i in range(m)]

@@ -19,18 +19,20 @@ evaluation order.
 The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
 the voltage graph (template, q, voltages) that ``families.lift`` takes.
-Per candidate the search computes only its voltage class
-(``LiftTemplate.voltage_class``) and looks it up: two assignments of one
-class have isomorphic lifts, so the first candidate of a class decides
-for all, exactly, whether they are well formed (from the voltages alone),
+Two assignments of one voltage class (``LiftTemplate.voltage_class``)
+have isomorphic lifts, and a class's members differ only by fibre shifts
+along the spanning forest (Gross and Tucker).  So the search judges each
+class once, on one member, exactly: well formed (from the voltages alone),
 bipartite, and of diameter <= k (``metrics.lift_diameter``, which builds
 no graph).  A connected lift is bipartite exactly when the base is, or
 when q is even and every class voltage has the parity of its fundamental
 cycle (``LiftTemplate.lifts_bipartite``); a disconnected one fails the
-diameter test.  The witnesses are ranked by their canonical text without
-rendering it, by the heads of its lines alone (``_text_key``).  A lift is
-built only for a kept witness, once the search is over, by
-``families.lift``.
+diameter test.  A fully enumerated q is walked class by class, and only
+an accepted class's members are made.  The witnesses are ranked by their
+canonical text without rendering it, by the heads of its lines alone
+(``_text_key``), fibre block by fibre block, so that a candidate is
+dropped at its first block above the worst kept key.  A lift is built
+only for a kept witness, once the search is over, by ``families.lift``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .metrics import diameter, lift_diameter
 
 _WITNESS_CAP = 8
 _MASK64 = (1 << 64) - 1
+# fibre and its steps' voltages -> the fibre's "E" and "A" heads (_block)
+_Heads = dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -166,21 +170,19 @@ def lift_search(
     For each distinct group order q, in order of first occurrence in
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
-    counter-based generator keyed by the seed otherwise.  Each candidate
-    is judged once per voltage class and group order: relabelling the
-    lift's fibres makes every assignment of a class one with voltage 0 on
-    the template's spanning forest (``LiftTemplate.tree``) and the class's
-    voltages on its cotree, so all its lifts are isomorphic and share the
-    verdict of its first candidate: well formed (from the voltages alone),
-    bipartite by the class's parity rule (``LiftTemplate.lifts_bipartite``,
-    exact for every lift of finite diameter), and of diameter <= k by
-    ``metrics.lift_diameter``.  Every candidate still counts, in the same
-    order, so the report is the one a per-candidate judgement gives.  The
-    witnesses kept are the first accepted assignments at the best order of
-    the smallest canonical texts, one per text, ranked by the heads of that
-    text's lines (``_text_key``) without a lift being built.  Only a kept
-    witness is built, once the search is over, by ``families.lift``.
-    Reports are byte-identical across reruns with the same arguments.
+    counter-based generator keyed by the seed otherwise; every assignment
+    counts as a candidate.  All assignments of one voltage class have
+    isomorphic lifts, so each class is judged once (``_accepted``): well
+    formed, bipartite by the class's parity rule
+    (``LiftTemplate.lifts_bipartite``, exact for every lift of finite
+    diameter), and of diameter <= k by ``metrics.lift_diameter``.  A q of
+    order n*q below the best order found is only counted.  The witnesses
+    kept are accepted assignments at the best order of the smallest
+    canonical texts, one per text, ranked by ``_text_key`` without a lift
+    being built; once the cap is full, a candidate is dropped at its first
+    fibre "E" block above the worst kept key's.  Only a kept witness is
+    built, once the search is over, by ``families.lift``.  Reports are
+    byte-identical across reruns with the same arguments.
 
     Raises UnsupportedParameterError unless k, the budget and every group
     order are ints >= 1 and the seed is an int, before any candidate is
@@ -194,52 +196,42 @@ def lift_search(
     remaining = budget
     exhaustive = True
     best_order: Optional[int] = None
-    # _text_key -> the first (q, voltages) seen with that key, for the
-    # _WITNESS_CAP smallest keys at the best order
-    kept: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+    # _text_key -> a (q, voltages) with that key, for the _WITNESS_CAP
+    # smallest keys at the best order; worst is the largest once it is full
+    kept: dict[tuple, tuple[int, Sequence[int]]] = {}
+    worst: Optional[tuple] = None
     for q in orders:
         if remaining <= 0:
             exhaustive = False
             break
         order = template.n * q
         space = q**template.dart_count
-        if space <= remaining:
-            assignments: Iterable[tuple[int, ...]] = itertools.product(
-                range(q), repeat=template.dart_count
-            )
-        else:
+        if space > remaining:
             exhaustive = False
-            assignments = (
-                _sample_voltages(seed, q, counter, template.dart_count)
-                for counter in range(remaining)
-            )
-        # voltage class -> whether its lifts are well formed, bipartite and
-        # of diameter <= k
-        verdicts: dict[tuple[int, ...], bool] = {}
-        # fibre and its steps' voltages -> the fibre's heads, for _text_key
-        heads: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        for voltages in assignments:
-            remaining -= 1
-            voltage_class = template.voltage_class(q, voltages)
-            accepted = verdicts.get(voltage_class)
-            if accepted is None:
-                accepted = verdicts[voltage_class] = (
-                    template.well_formed(q, voltages)
-                    and template.lifts_bipartite(q, voltage_class)
-                    and lift_diameter(template, q, voltages) <= k
-                )
-            if accepted and (best_order is None or order >= best_order):
-                if best_order is None or order > best_order:
-                    best_order, kept = order, {}
-                key = _text_key(template, q, voltages, heads)
-                if key in kept:
+        count = min(space, remaining)
+        remaining -= count
+        if best_order is not None and order < best_order:
+            continue  # nothing at this order can be kept
+        heads: _Heads = {}
+        for voltages in _accepted(template, k, q, count, seed):
+            if best_order != order:
+                best_order, kept, worst = order, {}, None
+            if worst is not None:
+                # the "E" blocks lead the key: a larger one cannot enter
+                for b in range(template.n):
+                    edges = _block(template, q, voltages, b, heads)[0]
+                    if edges != worst[b]:
+                        break
+                if edges > worst[b]:
                     continue
-                if len(kept) == _WITNESS_CAP:
-                    worst = max(kept)
-                    if key > worst:
-                        continue
-                    del kept[worst]
-                kept[key] = (q, voltages)
+            key = _text_key(template, q, voltages, heads)
+            if key in kept or (worst is not None and key > worst):
+                continue
+            if worst is not None:
+                del kept[worst]
+            kept[key] = (q, voltages)
+            if len(kept) == _WITNESS_CAP:
+                worst = max(kept)
     witnesses = isomorphism_classes([lift(template, q, v) for q, v in kept.values()])
     return SearchReport(
         kind="lift",
@@ -254,41 +246,90 @@ def lift_search(
     )
 
 
+def _accepted(
+    template: LiftTemplate, k: int, q: int, count: int, seed: int
+) -> Iterator[Sequence[int]]:
+    """The assignments over Z_q, of the count ``lift_search`` takes, whose
+    lifts are well formed, bipartite and of diameter <= k, judging each
+    voltage class once.  The whole space is walked by class: cotree
+    voltages c are judged on their tree-zero member, and only an accepted
+    class's members are made, tree voltages t giving potentials p along
+    ``template.tree`` and each cotree dart (u, v) c + p(v) - p(u).  Fewer
+    than q^darts are the seeded samples, each class judged on its first."""
+
+    def judge(voltages: Sequence[int], voltage_class: tuple[int, ...]) -> bool:
+        return (
+            template.well_formed(q, voltages)
+            and template.lifts_bipartite(q, voltage_class)
+            and lift_diameter(template, q, voltages) <= k
+        )
+
+    if count < q**template.dart_count:
+        verdicts: dict[tuple[int, ...], bool] = {}
+        for voltages in _sample_voltages(seed, q, count, template.dart_count):
+            voltage_class = template.voltage_class(q, voltages)
+            accepted = verdicts.get(voltage_class)
+            if accepted is None:
+                accepted = verdicts[voltage_class] = judge(voltages, voltage_class)
+            if accepted:
+                yield voltages
+        return
+    tree, cotree = template.tree, template.cotree
+    for voltage_class in itertools.product(range(q), repeat=len(cotree)):
+        voltages = [0] * template.dart_count
+        for (d, _, _), g in zip(cotree, voltage_class):
+            voltages[d] = g
+        if not judge(voltages, voltage_class):
+            continue
+        for shifts in itertools.product(range(q), repeat=len(tree)):
+            p = [0] * template.n
+            for (v, u, d, sign), g in zip(tree, shifts):
+                p[v] = p[u] + sign * g
+                voltages[d] = g
+            for (d, u, v), g in zip(cotree, voltage_class):
+                voltages[d] = (g - p[u] + p[v]) % q
+            yield tuple(voltages)
+
+
+def _block(
+    template: LiftTemplate, q: int, voltages: Sequence[int], b: int, heads: _Heads
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Fibre b's "E" and "A" blocks of ``_text_key``, memoised in heads by
+    b and its steps' voltages."""
+    steps = template.steps_from[b]
+    at = (b, *[voltages[template.steps[i][1]] for i in steps])
+    block = heads.get(at)
+    if block is None:
+        n_edges = len(template.edge_darts)
+        edges, arcs = [], []
+        for head, d, sign in map(template.steps.__getitem__, steps):
+            # (start, shift): the step from (b, x) ends at start + (x + shift) % q
+            if d >= n_edges or head > b:
+                (edges if d < n_edges else arcs).append((head * q, sign * voltages[d] % q))
+        block = heads[at] = tuple(
+            tuple(
+                str(end)
+                for x in range(q)
+                for end in sorted(start + (x + shift) % q for start, shift in kind)
+            )
+            for kind in (edges, arcs)
+        )
+    return block
+
+
 def _text_key(
-    template: LiftTemplate,
-    q: int,
-    voltages: Sequence[int],
-    heads: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]],
+    template: LiftTemplate, q: int, voltages: Sequence[int], heads: _Heads
 ) -> tuple[tuple[str, ...], ...]:
     """A key that orders and equates the well-formed lifts of one template
     and q as ``format_edge_list(template.cover(q, voltages))`` does: each
-    fibre b's "E" block, then each fibre's "A" block.  An "E" block holds,
-    for each x, the numerically sorted heads of b's edge steps to fibres
-    above b, each as ``str(end)``; an "A" block the same for b's arc steps.
-    The text's lines read "E tail head" and "A tail head" in that order,
-    and every assignment puts the same tail on the same line, so, with a
-    newline sorting below every digit, the heads compare as the texts do.
-    ``heads`` holds the blocks for one q, by fibre and its steps' voltages."""
-    n_edges = len(template.edge_darts)
-    blocks = []
-    for b, steps in enumerate(template.steps_from):
-        at = (b, *[voltages[template.steps[i][1]] for i in steps])
-        block = heads.get(at)
-        if block is None:
-            edges, arcs = [], []
-            for head, d, sign in map(template.steps.__getitem__, steps):
-                # (start, shift): the step from (b, x) ends at start + (x + shift) % q
-                if d >= n_edges or head > b:
-                    (edges if d < n_edges else arcs).append((head * q, sign * voltages[d] % q))
-            block = heads[at] = tuple(
-                tuple(
-                    str(end)
-                    for x in range(q)
-                    for end in sorted(start + (x + shift) % q for start, shift in kind)
-                )
-                for kind in (edges, arcs)
-            )
-        blocks.append(block)
+    fibre b's "E" block, then each fibre's "A" block (``_block``).  An "E"
+    block holds, for each x, the numerically sorted heads of b's edge steps
+    to fibres above b, each as ``str(end)``; an "A" block the same for b's
+    arc steps.  The text's lines read "E tail head" and "A tail head" in
+    that order, and every assignment puts the same tail on the same line,
+    so, with a newline sorting below every digit, the heads compare as the
+    texts do.  ``heads`` holds the blocks for one q."""
+    blocks = [_block(template, q, voltages, b, heads) for b in range(template.n)]
     return (*(edges for edges, _ in blocks), *(arcs for _, arcs in blocks))
 
 
@@ -527,16 +568,19 @@ def _partial_matchings(
 # Lift candidates
 # ---------------------------------------------------------------------------
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _sample_voltages(seed: int, q: int, count: int, ndarts: int) -> Iterator[tuple[int, ...]]:
+    """count seeded samples of ndarts >= 1 voltages over Z_q, streamed:
+    voltage d of sample i is SplitMix64's output on base ^ (i*ndarts + d),
+    modulo q, where base is its output on the seed and q."""
+    (base,) = _splitmix64([(seed & _MASK64) ^ (q * 0x517CC1B727220A95) & _MASK64], 1 << 64)
+    stream = _splitmix64(map(base.__xor__, range(count * ndarts)), q)
+    return zip(*[stream] * ndarts)
 
 
-def _sample_voltages(seed: int, q: int, counter: int, ndarts: int) -> tuple[int, ...]:
-    base = _splitmix64((seed & _MASK64) ^ (q * 0x517CC1B727220A95) & _MASK64)
-    return tuple(
-        _splitmix64(base ^ (counter * ndarts + d)) % q for d in range(ndarts)
-    )
+def _splitmix64(xs: Iterable[int], modulus: int) -> Iterator[int]:
+    """SplitMix64's output function on each of xs, modulo modulus."""
+    for x in xs:
+        z = (x + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield (z ^ (z >> 31)) % modulus

@@ -6,6 +6,7 @@ import itertools
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,13 @@ def test_construct_canonical_parameter(capsys):
 
 def test_construct_bdm_rejects_both_parameters(capsys):
     assert_one_line_error(*run_cli(capsys, "construct", "bdm", "--m", "5", "--n", "3"))
+
+
+@pytest.mark.parametrize("m", ["7", "12"])
+def test_construct_bdm_rejects_a_modulus_5_does_not_divide(capsys, m):
+    code, out, err = run_cli(capsys, "construct", "bdm", "--m", m)
+    assert_one_line_error(code, out, err)
+    assert err == f"error: modulus must be a multiple of 5, got {m}\n"
 
 
 @pytest.mark.parametrize(
@@ -238,9 +246,11 @@ def test_search_lift_searches_a_repeated_order_once(capsys):
 
 
 def test_lift_sweep_report_matches_the_benchmark_reference(capsys):
-    # the benchmark's lift-sweep op at seed 1; the digest is its
-    # "lift-sweep" sha256 in bench/reference.json, taken with the header's
-    # seed field written as seed=SEED
+    # the benchmark's lift-sweep op at seed 1 against its "lift-sweep"
+    # sha256 in bench/reference.json, taken with the header's seed field
+    # written as seed=SEED
+    reference = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    digest = json.loads(reference.read_text())["lift-sweep"]["sha256"]
     code, out, err = run_cli(
         capsys, "search", "lift", "--k", "6", "--template", "4",
         "--q", "5", "--q", "7", "--budget", "20000", "--seed", "1",
@@ -249,9 +259,7 @@ def test_lift_sweep_report_matches_the_benchmark_reference(capsys):
     head, sep, rest = out.partition("\n")
     assert head.endswith(" seed=1")
     normal = head[: -len(" seed=1")] + " seed=SEED" + sep + rest
-    assert hashlib.sha256(normal.encode("utf-8")).hexdigest() == (
-        "e76140d6cdffb4b0892b34469720b378067510f9eff431f0e9668516eef0331c"
-    )
+    assert hashlib.sha256(normal.encode("utf-8")).hexdigest() == digest
 
 
 def test_search_cdrm_command(capsys):

@@ -43,6 +43,7 @@ from mixedgraphs.metrics import UNREACHABLE
 from mixedgraphs.search import (
     _centraliser,
     _derangement_type_representatives,
+    _sample_voltages,
     _text_key,
     _text_order,
 )
@@ -992,3 +993,37 @@ def test_text_key_compares_as_the_text_past_two_digits(case):
     # covers of up to 240 vertices, so ids of up to three digits: where one
     # head is a prefix of the other, the text's newline sorts below a digit
     assert_text_key_compares_as_the_text(*case)
+
+
+def reference_splitmix64(x: int) -> int:
+    mask = (1 << 64) - 1
+    z = (x + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def reference_sample_voltages(seed: int, q: int, counter: int, ndarts: int) -> tuple[int, ...]:
+    """Reference: sample number ``counter`` of the lift search's seeded
+    sampler, drawn on its own by one SplitMix64 call per voltage."""
+    mask = (1 << 64) - 1
+    base = reference_splitmix64((seed & mask) ^ (q * 0x517CC1B727220A95) & mask)
+    return tuple(
+        reference_splitmix64(base ^ (counter * ndarts + d)) % q for d in range(ndarts)
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=8),
+)
+@example(-1, 7, 5, 6)
+@example(2**64, 7, 5, 6)  # the seed's bits above 64 are dropped
+@example(2**64 + 1, 5, 3, 6)
+@example(-(2**64) - 1, 2**64, 3, 2)
+def test_sampler_streams_the_per_counter_samples(seed, q, count, ndarts):
+    streamed = list(_sample_voltages(seed, q, count, ndarts))
+    assert streamed == [reference_sample_voltages(seed, q, i, ndarts) for i in range(count)]

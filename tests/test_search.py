@@ -36,7 +36,6 @@ from mixedgraphs.search import (
     _derangement_type_representatives,
     _general_candidates,
     _matching_graph,
-    _sample_voltages,
 )
 from test_properties import (
     assert_lifts_bipartite_matches_the_cover,
@@ -47,6 +46,7 @@ from test_properties import (
     reference_class1_permutations,
     reference_class1_representatives,
     reference_matching_graph,
+    reference_sample_voltages,
     reference_totally_regular_candidates,
     reference_voltage_class,
 )
@@ -409,19 +409,40 @@ def test_lift_evaluator_matches_reference_on_every_assignment(template, q):
         assert_template_matches_reference(template, q, voltages)
 
 
+def lift_sweep_judged_members(template):
+    """The members on which the lift-sweep search, lift_search(6, template,
+    [5, 7], 20000, 1), judges its voltage classes, in order: each class of
+    the fully enumerated q = 5 on its tree-zero member, in order of its
+    cotree voltages, then each class met among the q = 7 samples on its
+    first sample."""
+    judged = []
+    for voltage_class in itertools.product(range(5), repeat=len(template.cotree)):
+        voltages = [0] * template.dart_count
+        for (d, _, _), g in zip(template.cotree, voltage_class):
+            voltages[d] = g
+        judged.append((5, tuple(voltages)))
+    first_of_class = {}
+    for i in range(20000 - 5**template.dart_count):
+        voltages = reference_sample_voltages(1, 7, i, template.dart_count)
+        first_of_class.setdefault(template.voltage_class(7, voltages), voltages)
+    return judged + [(7, v) for v in first_of_class.values()]
+
+
 def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
-    # the lift-sweep search: each voltage class is judged once, on the
-    # voltage graph of its first well-formed candidate, and a lift is built
-    # only for a kept witness, once the search is over
+    # the lift-sweep search: each voltage class is judged once, on its
+    # tree-zero member at the fully enumerated q = 5 and on its first
+    # sample at the sampled q = 7, and a lift is built only for a kept
+    # witness, once the search is over
     built, judged = [], []
 
     def counting_cover(template, q, voltages):
-        built.append((q, tuple(voltages)))
-        return cover(template, q, voltages)
+        g = cover(template, q, voltages)
+        built.append(format_edge_list(g))
+        return g
 
     def recording_lift_diameter(template, q, voltages):
         d = lift_diameter(template, q, voltages)
-        judged.append((q, tuple(voltages), d))
+        judged.append((q, tuple(voltages)))
         return d
 
     cover, lift_diameter = LiftTemplate.cover, search.lift_diameter
@@ -431,30 +452,29 @@ def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
     report = lift_search(6, template, [5, 7], budget=20000, seed=1)
     monkeypatch.undo()
 
-    # the same candidates, in the same order, as the search generates them
+    # the base is bipartite, so every well-formed class is measured
+    assert template.bipartite
+    assert judged == [(q, v) for q, v in lift_sweep_judged_members(template)
+                      if template.well_formed(q, v)]
+    classes = {(q, template.voltage_class(q, v)) for q, v in judged}
+    assert len(classes) == len(judged) <= 5**3 + 7**3
+    # the reference text ranking: the _WITNESS_CAP smallest texts among
+    # the accepted lifts at the best order, each candidate judged on its own
     space = [(5, v) for v in itertools.product(range(5), repeat=6)]
-    space += [(7, _sample_voltages(1, 7, i, 6)) for i in range(20000 - 5**6)]
-    well_formed = [(q, v) for q, v in space if template.cover(q, v) is not None]
-    first_of_class = {}
-    for q, v in well_formed:
-        first_of_class.setdefault((q, template.voltage_class(q, v)), (q, v))
-    assert [(q, v) for q, v, _ in judged] == list(first_of_class.values())
-    assert len(judged) <= 5**3 + 7**3
-    # the reference text ranking: the first assignment of each of the
-    # _WITNESS_CAP smallest texts among the accepted lifts at the best order
-    first_of_text, best = {}, None
-    for q, voltages in well_formed:
-        d = lift_diameter(template, q, voltages)  # each candidate's own
-        if d <= 6 and (best is None or 4 * q >= best):
-            if best is None or 4 * q > best:
-                best, first_of_text = 4 * q, {}
-            text = format_edge_list(template.cover(q, voltages))
-            first_of_text.setdefault(text, (q, voltages))
+    space += [(7, reference_sample_voltages(1, 7, i, 6)) for i in range(20000 - 5**6)]
+    texts, best = set(), None
+    for q, voltages in space:
+        g = template.cover(q, voltages)
+        if g is None or lift_diameter(template, q, voltages) > 6:
+            continue
+        if best is None or 4 * q > best:
+            best, texts = 4 * q, set()
+        if 4 * q == best:
+            texts.add(format_edge_list(g))
     assert best == report.best_order == 20
-    assert len(first_of_text) > search._WITNESS_CAP
-    expected = [first_of_text[text] for text in sorted(first_of_text)[: search._WITNESS_CAP]]
-    assert sorted(built) == sorted(expected)
-    assert len(built) == search._WITNESS_CAP
+    assert len(texts) > search._WITNESS_CAP
+    # swapped voltages on parallel arcs give one text: compare texts
+    assert sorted(built) == sorted(texts)[: search._WITNESS_CAP]
 
 
 def reference_lift_search(k, template, q_range, budget, seed):
@@ -485,7 +505,7 @@ def reference_lift_search(k, template, q_range, budget, seed):
         else:
             exhaustive = False
             assignments = (
-                _sample_voltages(seed, q, counter, template.dart_count)
+                reference_sample_voltages(seed, q, counter, template.dart_count)
                 for counter in range(remaining)
             )
         for voltages in assignments:
@@ -537,6 +557,10 @@ def reference_lift_search(k, template, q_range, budget, seed):
 TRIANGLE = LiftTemplate(3, (), ((0, 1), (1, 2), (2, 0)))
 CDRM_LOOPS = LiftTemplate(2, ((0, 1),), ((0, 0), (1, 1)))
 PARALLEL = LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0), (1, 0)))
+# two components, so its spanning forest has two trees
+FOREST = LiftTemplate(4, ((0, 1), (2, 3)), ((0, 1), (1, 0), (2, 3), (3, 2)))
+# one vertex: the tree is empty and every dart is in the cotree
+POINT = LiftTemplate(1, (), ((0, 0), (0, 0)))
 REFERENCE_CASES = (
     [(6, four_vertex_template(), [q], 10**6, 1) for q in range(1, 7)]
     + [(k, two_vertex_template(), [q], 10**4, 1)
@@ -548,6 +572,15 @@ REFERENCE_CASES = (
     + [(6, four_vertex_template(), [5, 7], 9000, seed) for seed in (1, 2, 3)]
     + [(5, two_vertex_template(), [9, 10, 11], 700, seed) for seed in (4, 5, 6)]
     + [(4, TRIANGLE, [5, 6], 150, seed) for seed in (7, 8)]
+    + [(6, FOREST, [2, 3, 4], 10**4, 1), (6, FOREST, [3, 4], 3**6 + 500, 2)]
+    + [(k, POINT, range(1, 13), 10**4, 1) for k in (3, 4)]
+    # a later q of smaller order than the best: it cannot change the report
+    + [(5, two_vertex_template(), [9, 5, 7], 10**4, 1),
+       (6, four_vertex_template(), [5, 4], 10**5, 1)]
+    # full enumeration, then sampling, partway through the range
+    + [(5, two_vertex_template(), [4, 5, 6, 7], 4**3 + 5**3 + 100, 2),
+       (5, two_vertex_template(), [9, 5], 9**3 + 50, 2),
+       (5, two_vertex_template(), [5, 9, 7], 5**3 + 300, 3)]
 )
 
 
@@ -585,6 +618,25 @@ def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, b
 
 
 @pytest.mark.parametrize(
+    "template, q_range, budget",
+    [(FOREST, [2, 3, 4], 10**4), (FOREST, [3, 4], 3**6 + 500), (POINT, range(1, 9), 10**4)],
+    ids=["forest", "forest-sampled", "point"],
+)
+def test_lift_search_matches_the_reference_when_every_diameter_passes(
+    monkeypatch, template, q_range, budget
+):
+    # a disconnected lift never passes the diameter test, so only with
+    # every lift passing it are the members of a class on a forest (or an
+    # empty tree) made and ranked.  lifts_bipartite is exact here although
+    # some lifts are disconnected: FOREST is bipartite, and for q <= 8 no
+    # well-formed lift of POINT is a bipartite one with an even voltage
+    monkeypatch.setattr(search, "lift_diameter", lambda *args: 1)
+    report = lift_search(1, template, q_range, budget, seed=1)
+    expected = reference_lift_search(1, template, q_range, budget, seed=1)
+    assert report.witnesses and report.serialize() == expected.serialize()
+
+
+@pytest.mark.parametrize(
     "k, template, q, budget",
     [(5, TRIANGLE, 2, 100), (6, cdrm_voltage_graph(8, 1)[0], 8, 1000)],
     ids=["triangle", "cdrm-loops"],
@@ -595,23 +647,23 @@ def test_lift_search_builds_covers_only_for_kept_witnesses(monkeypatch, k, templ
     built = []
 
     def counting_cover(template, q, voltages):
-        built.append((q, tuple(voltages)))
-        return cover(template, q, voltages)
+        g = cover(template, q, voltages)
+        built.append(format_edge_list(g))
+        return g
 
     cover = LiftTemplate.cover
     assert not template.bipartite
     monkeypatch.setattr(LiftTemplate, "cover", counting_cover)
     report = lift_search(k, template, [q], budget, seed=1)
     monkeypatch.undo()
-    # the first assignment of each of the _WITNESS_CAP smallest texts among
-    # the lifts that are 2-coloured when built and of diameter <= k
-    first_of_text = {}
+    # the _WITNESS_CAP smallest texts among the lifts that are 2-coloured
+    # when built and of diameter <= k
+    texts = set()
     for voltages in itertools.product(range(q), repeat=template.dart_count):
         g = template.cover(q, voltages)
         if g is not None and bipartition(g) is not None and lift_diameter(template, q, voltages) <= k:
-            first_of_text.setdefault(format_edge_list(g), (q, voltages))
-    expected = [first_of_text[text] for text in sorted(first_of_text)[: search._WITNESS_CAP]]
-    assert expected and sorted(built) == sorted(expected)
+            texts.add(format_edge_list(g))
+    assert texts and sorted(built) == sorted(texts)[: search._WITNESS_CAP]
     assert report.best_order == template.n * q
     assert report.serialize() == reference_lift_search(k, template, [q], budget, 1).serialize()
 
@@ -672,12 +724,12 @@ def test_voltage_class_equals_the_symbolic_cycles_on_every_assignment(template, 
 
 
 def test_lift_search_checks_well_formedness_once_per_class(monkeypatch):
-    # the lift-sweep search: well_formed runs on the first candidate of
-    # each (order, class), then once per kept witness as cover builds it
+    # the lift-sweep search: well_formed runs once per class, on the member
+    # that judges it, then once per kept witness as cover builds it
     calls = []
 
     def counting_well_formed(template, q, voltages):
-        calls.append((q, template.voltage_class(q, voltages)))
+        calls.append((q, tuple(voltages)))
         return well_formed(template, q, voltages)
 
     well_formed = LiftTemplate.well_formed
@@ -686,11 +738,9 @@ def test_lift_search_checks_well_formedness_once_per_class(monkeypatch):
     lift_search(6, template, [5, 7], budget=20000, seed=1)
     monkeypatch.undo()
 
-    space = [(5, v) for v in itertools.product(range(5), repeat=6)]
-    space += [(7, _sample_voltages(1, 7, i, 6)) for i in range(20000 - 5**6)]
-    classes = list(dict.fromkeys((q, template.voltage_class(q, v)) for q, v in space))
-    assert calls[: -search._WITNESS_CAP] == classes
-    assert len(calls) == len(classes) + search._WITNESS_CAP <= 5**3 + 7**3 + 8
+    judged = lift_sweep_judged_members(template)
+    assert calls[: len(judged)] == judged
+    assert len(calls) == len(judged) + search._WITNESS_CAP <= 5**3 + 7**3 + 8
 
 
 def refuse_evaluation(*args):
