@@ -27,9 +27,12 @@ bipartite, and of diameter <= k (``metrics.lift_diameter``, which builds
 no graph).  A connected lift is bipartite exactly when the base is, or
 when q is even and every class voltage has the parity of its fundamental
 cycle (``LiftTemplate.lifts_bipartite``); a disconnected one fails the
-diameter test.  A fully enumerated q is walked class by class, and only
-an accepted class's members are made.  The witnesses are ranked by their
-canonical text without rendering it, by the heads of its lines alone
+diameter test.  A q that takes at least one assignment per class has
+its q^|cotree| classes judged up front, on their tree-zero members, and
+makes only an accepted class's members or keeps only its samples, so it
+draws none when no class is accepted; fewer samples than classes judge
+each class on its first.  The witnesses are ranked by their canonical
+text without rendering it, by the heads of its lines alone
 (``_text_key``), fibre block by fibre block, so that a candidate is
 dropped at its first block above the worst kept key.  A lift is built
 only for a kept witness, once the search is over, by ``families.lift``.
@@ -175,7 +178,9 @@ def lift_search(
     isomorphic lifts, so each class is judged once (``_accepted``): well
     formed, bipartite by the class's parity rule
     (``LiftTemplate.lifts_bipartite``, exact for every lift of finite
-    diameter), and of diameter <= k by ``metrics.lift_diameter``.  A q of
+    diameter), and of diameter <= k by ``metrics.lift_diameter``; up front
+    when q takes at least q^|cotree| assignments, so that a q with no
+    accepted class draws no sample, else on its first sample.  A q of
     order n*q below the best order found is only counted.  The witnesses
     kept are accepted assignments at the best order of the smallest
     canonical texts, one per text, ranked by ``_text_key`` without a lift
@@ -251,11 +256,13 @@ def _accepted(
 ) -> Iterator[Sequence[int]]:
     """The assignments over Z_q, of the count ``lift_search`` takes, whose
     lifts are well formed, bipartite and of diameter <= k, judging each
-    voltage class once.  The whole space is walked by class: cotree
-    voltages c are judged on their tree-zero member, and only an accepted
-    class's members are made, tree voltages t giving potentials p along
-    ``template.tree`` and each cotree dart (u, v) c + p(v) - p(u).  Fewer
-    than q^darts are the seeded samples, each class judged on its first."""
+    voltage class once.  A count of at least q^|cotree| judges every class
+    up front, on its tree-zero member, in order of its cotree voltages c.
+    The whole space then yields only an accepted class's members, tree
+    voltages t giving potentials p along ``template.tree`` and each cotree
+    dart (u, v) c + p(v) - p(u); a smaller count yields the seeded samples
+    of an accepted class, and draws none when no class is accepted.  A
+    count below q^|cotree| judges each class on its first sample."""
 
     def judge(voltages: Sequence[int], voltage_class: tuple[int, ...]) -> bool:
         return (
@@ -264,8 +271,17 @@ def _accepted(
             and lift_diameter(template, q, voltages) <= k
         )
 
+    tree, cotree = template.tree, template.cotree
+    verdicts: dict[tuple[int, ...], bool] = {}
+    if q ** len(cotree) <= count:
+        for voltage_class in itertools.product(range(q), repeat=len(cotree)):
+            voltages = [0] * template.dart_count
+            for (d, _, _), g in zip(cotree, voltage_class):
+                voltages[d] = g
+            verdicts[voltage_class] = judge(voltages, voltage_class)
+        if not any(verdicts.values()):
+            return
     if count < q**template.dart_count:
-        verdicts: dict[tuple[int, ...], bool] = {}
         for voltages in _sample_voltages(seed, q, count, template.dart_count):
             voltage_class = template.voltage_class(q, voltages)
             accepted = verdicts.get(voltage_class)
@@ -274,13 +290,8 @@ def _accepted(
             if accepted:
                 yield voltages
         return
-    tree, cotree = template.tree, template.cotree
-    for voltage_class in itertools.product(range(q), repeat=len(cotree)):
+    for voltage_class in (c for c, ok in verdicts.items() if ok):
         voltages = [0] * template.dart_count
-        for (d, _, _), g in zip(cotree, voltage_class):
-            voltages[d] = g
-        if not judge(voltages, voltage_class):
-            continue
         for shifts in itertools.product(range(q), repeat=len(tree)):
             p = [0] * template.n
             for (v, u, d, sign), g in zip(tree, shifts):

@@ -8,6 +8,7 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedgraphs import (
     bdm,
@@ -409,30 +410,42 @@ def test_lift_evaluator_matches_reference_on_every_assignment(template, q):
         assert_template_matches_reference(template, q, voltages)
 
 
-def lift_sweep_judged_members(template):
-    """The members on which the lift-sweep search, lift_search(6, template,
-    [5, 7], 20000, 1), judges its voltage classes, in order: each class of
-    the fully enumerated q = 5 on its tree-zero member, in order of its
-    cotree voltages, then each class met among the q = 7 samples on its
-    first sample."""
-    judged = []
-    for voltage_class in itertools.product(range(5), repeat=len(template.cotree)):
+def tree_zero_members(template, q):
+    """Each voltage class over Z_q on its member with voltage 0 on the
+    tree, in order of its cotree voltages."""
+    members = []
+    for voltage_class in itertools.product(range(q), repeat=len(template.cotree)):
         voltages = [0] * template.dart_count
         for (d, _, _), g in zip(template.cotree, voltage_class):
             voltages[d] = g
-        judged.append((5, tuple(voltages)))
+        members.append((q, tuple(voltages)))
+    return members
+
+
+def first_samples_of_each_class(template, q, count, seed):
+    """The first of count seeded samples over Z_q met in each voltage
+    class, in order of the samples."""
     first_of_class = {}
-    for i in range(20000 - 5**template.dart_count):
-        voltages = reference_sample_voltages(1, 7, i, template.dart_count)
-        first_of_class.setdefault(template.voltage_class(7, voltages), voltages)
-    return judged + [(7, v) for v in first_of_class.values()]
+    for i in range(count):
+        voltages = reference_sample_voltages(seed, q, i, template.dart_count)
+        first_of_class.setdefault(template.voltage_class(q, voltages), voltages)
+    return [(q, v) for v in first_of_class.values()]
+
+
+def lift_sweep_judged_members(template):
+    """The members on which the lift-sweep search, lift_search(6, template,
+    [5, 7], 20000, 1), judges its voltage classes, in order: every class of
+    the fully enumerated q = 5, then every class of the sampled q = 7 (the
+    4,375 samples outnumber its 7^3 classes), each on its tree-zero
+    member, in order of its cotree voltages."""
+    return tree_zero_members(template, 5) + tree_zero_members(template, 7)
 
 
 def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
     # the lift-sweep search: each voltage class is judged once, on its
-    # tree-zero member at the fully enumerated q = 5 and on its first
-    # sample at the sampled q = 7, and a lift is built only for a kept
-    # witness, once the search is over
+    # tree-zero member, at the fully enumerated q = 5 and before any
+    # sample is drawn at the sampled q = 7, and a lift is built only for a
+    # kept witness, once the search is over
     built, judged = [], []
 
     def counting_cover(template, q, voltages):
@@ -561,6 +574,15 @@ PARALLEL = LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0), (1, 0)))
 FOREST = LiftTemplate(4, ((0, 1), (2, 3)), ((0, 1), (1, 0), (2, 3), (3, 2)))
 # one vertex: the tree is empty and every dart is in the cotree
 POINT = LiftTemplate(1, (), ((0, 0), (0, 0)))
+# budgets below q^|cotree|, so that each class is judged on its first
+# sample: an accepted class (best order 18), none accepted, an even q on a
+# bipartite base (24), and an even q on a base that is not bipartite (24)
+MEMO_CASES = (
+    [(5, two_vertex_template(), [9], 60, seed) for seed in (1, 2)]
+    + [(6, four_vertex_template(), [7], 300, seed) for seed in (1, 2)]
+    + [(6, four_vertex_template(), [6], 200, seed) for seed in (1, 2)]
+    + [(7, CDRM_LOOPS, [12], 100, seed) for seed in (1, 2)]
+)
 REFERENCE_CASES = (
     [(6, four_vertex_template(), [q], 10**6, 1) for q in range(1, 7)]
     + [(k, two_vertex_template(), [q], 10**4, 1)
@@ -581,6 +603,7 @@ REFERENCE_CASES = (
     + [(5, two_vertex_template(), [4, 5, 6, 7], 4**3 + 5**3 + 100, 2),
        (5, two_vertex_template(), [9, 5], 9**3 + 50, 2),
        (5, two_vertex_template(), [5, 9, 7], 5**3 + 300, 3)]
+    + MEMO_CASES
 )
 
 
@@ -615,6 +638,148 @@ def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, b
     report = lift_search(k, template, q_range, budget, seed)
     expected = reference_lift_search(k, template, q_range, budget, seed)
     assert report.serialize() == expected.serialize()
+
+
+@pytest.mark.parametrize(
+    "k, template, q_range, budget, seed, best_order",
+    [case + (best,) for case, best in zip(MEMO_CASES, [18, 18, None, None, 24, 24, 24, 24])],
+    ids=[f"memo{i}" for i in range(len(MEMO_CASES))],
+)
+def test_memo_cases_judge_each_class_on_its_first_sample(
+    monkeypatch, k, template, q_range, budget, seed, best_order
+):
+    # the budget is below q^|cotree|: the classes are judged as the samples
+    # meet them, not up front
+    (q,) = q_range
+    assert budget < q ** len(template.cotree)
+    calls = []
+
+    def counting_well_formed(template, q, voltages):
+        calls.append((q, tuple(voltages)))
+        return well_formed(template, q, voltages)
+
+    well_formed = LiftTemplate.well_formed
+    monkeypatch.setattr(LiftTemplate, "well_formed", counting_well_formed)
+    report = lift_search(k, template, q_range, budget, seed)
+    monkeypatch.undo()
+
+    judged = first_samples_of_each_class(template, q, budget, seed)
+    assert calls[: len(judged)] == judged
+    assert len(calls) <= len(judged) + search._WITNESS_CAP
+    assert report.best_order == best_order
+
+
+def record_sampling(monkeypatch):
+    """Patch the sampler and LiftTemplate.voltage_class to record the
+    arguments of each sampler call and the q of each voltage_class call."""
+    drawn, classed = [], []
+
+    def recording_sample_voltages(seed, q, count, ndarts):
+        drawn.append((seed, q, count, ndarts))
+        return sample_voltages(seed, q, count, ndarts)
+
+    def recording_voltage_class(template, q, voltages):
+        classed.append(q)
+        return voltage_class(template, q, voltages)
+
+    sample_voltages, voltage_class = search._sample_voltages, LiftTemplate.voltage_class
+    monkeypatch.setattr(search, "_sample_voltages", recording_sample_voltages)
+    monkeypatch.setattr(LiftTemplate, "voltage_class", recording_voltage_class)
+    return drawn, classed
+
+
+def test_lift_search_draws_no_sample_where_no_class_is_accepted(monkeypatch):
+    # the lift-sweep search: no lift of the four-vertex template over Z_7
+    # has diameter <= 6, and its 7^3 classes are judged before a sample is
+    # drawn, so none of the 4,375 samples is drawn or classed
+    drawn, classed = record_sampling(monkeypatch)
+    report = lift_search(6, four_vertex_template(), [5, 7], budget=20000, seed=1)
+    monkeypatch.undo()
+    assert [args for args in drawn if args[1] == 7] == []
+    assert 7 not in classed
+    assert report.candidates == 20000 and report.best_order == 20
+
+
+def test_lift_search_streams_every_sample_where_a_class_is_accepted(monkeypatch):
+    # 81 classes over Z_9, judged up front, and some accepted: all 700
+    # samples are drawn, and each is classed once
+    drawn, classed = record_sampling(monkeypatch)
+    report = lift_search(5, two_vertex_template(), [9], budget=700, seed=4)
+    monkeypatch.undo()
+    assert drawn == [(4, 9, 700, 3)]
+    assert classed == [9] * 700
+    assert report.best_order == 18 and not report.exhaustive
+
+
+def reference_accepted(template, k, q, count, seed):
+    """Reference: the accepted assignments as lift_search took them when a
+    sampled q kept a memo of the verdict per class, judged on the first
+    sample of the class, whatever the count.  A fully enumerated q is
+    walked class by class, each judged on its tree-zero member."""
+
+    def judge(voltages, voltage_class):
+        return (
+            template.well_formed(q, voltages)
+            and template.lifts_bipartite(q, voltage_class)
+            and search.lift_diameter(template, q, voltages) <= k
+        )
+
+    if count < q**template.dart_count:
+        verdicts = {}
+        for i in range(count):
+            voltages = reference_sample_voltages(seed, q, i, template.dart_count)
+            voltage_class = template.voltage_class(q, voltages)
+            if voltage_class not in verdicts:
+                verdicts[voltage_class] = judge(voltages, voltage_class)
+            if verdicts[voltage_class]:
+                yield voltages
+        return
+    tree, cotree = template.tree, template.cotree
+    for voltage_class in itertools.product(range(q), repeat=len(cotree)):
+        voltages = [0] * template.dart_count
+        for (d, _, _), g in zip(cotree, voltage_class):
+            voltages[d] = g
+        if not judge(voltages, voltage_class):
+            continue
+        for shifts in itertools.product(range(q), repeat=len(tree)):
+            p = [0] * template.n
+            for (v, u, d, sign), g in zip(tree, shifts):
+                p[v] = p[u] + sign * g
+                voltages[d] = g
+            for (d, u, v), g in zip(cotree, voltage_class):
+                voltages[d] = (g - p[u] + p[v]) % q
+            yield tuple(voltages)
+
+
+ACCEPTED_TEMPLATES = (
+    TRIANGLE, PARALLEL, CDRM_LOOPS, FOREST, POINT, two_vertex_template(), four_vertex_template(),
+)
+
+
+@st.composite
+def accepted_arguments(draw):
+    """A template, a q with at most 16,000 assignments, k, a count of
+    assignments on either side of q^|cotree| or the whole space, and a
+    seed."""
+    template = draw(st.sampled_from(ACCEPTED_TEMPLATES))
+    q_max = max(q for q in range(1, 13) if q**template.dart_count <= 16000)
+    q = draw(st.integers(1, q_max))
+    classes, space = q ** len(template.cotree), q**template.dart_count
+    # the whole space, some of it with every class, or fewer than the classes
+    counts = [st.just(space), st.integers(classes, space)]
+    if classes > 1:
+        counts.append(st.integers(1, classes - 1))
+    count = draw(st.one_of(counts))
+    # a connected lift has diameter < n*q: k runs down from there
+    k = template.n * q - draw(st.integers(0, template.n * q - 1))
+    seed = draw(st.integers(-(2**70), 2**70))
+    return template, k, q, count, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_arguments())
+def test_accepted_matches_the_per_sample_memo(arguments):
+    assert list(search._accepted(*arguments)) == list(reference_accepted(*arguments))
 
 
 @pytest.mark.parametrize(
