@@ -31,8 +31,18 @@ diameter test.  A q that takes at least one assignment per class has
 its q^|cotree| classes judged up front, on their tree-zero members, and
 makes only an accepted class's members or keeps only its samples, so it
 draws none when no class is accepted; fewer samples than classes judge
-each class on its first.  The witnesses are ranked by their canonical
-text without rendering it, by the heads of its lines alone
+each class on its first.  The up-front pass judges one class per orbit
+of the units of Z_q, the least, and gives its verdict to the orbit:
+multiplying every voltage by a unit u maps lift vertex (b, x) to
+(b, u*x), an isomorphism, and each test keeps its answer on its own.  A
+congruence g_i +- g_j = 0 (mod q) holds for u*g exactly when it holds for
+g; for even q a unit is odd, so u*g keeps the parities that the class's
+parity rule reads; and the two lifts have one diameter.  The tree part
+of the members, their tree voltages and each cotree dart's potential
+offset, is made once per q.  A lift of diameter <= k has at most
+1 + D + ... + D^k vertices, D the most steps out of a base vertex, so a
+q of larger order is only counted.  The witnesses are ranked by their
+canonical text without rendering it, by the heads of its lines alone
 (``_text_key``), fibre block by fibre block, so that a candidate is
 dropped at its first block above the worst kept key.  A lift is built
 only for a kept witness, once the search is over, by ``families.lift``.
@@ -41,6 +51,8 @@ only for a kept witness, once the search is over, by ``families.lift``.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -180,8 +192,13 @@ def lift_search(
     (``LiftTemplate.lifts_bipartite``, exact for every lift of finite
     diameter), and of diameter <= k by ``metrics.lift_diameter``; up front
     when q takes at least q^|cotree| assignments, so that a q with no
-    accepted class draws no sample, else on its first sample.  A q of
-    order n*q below the best order found is only counted.  The witnesses
+    accepted class draws no sample, else on its first sample.  Up front,
+    one class per orbit of the units of Z_q is judged: multiplying every
+    voltage by a unit gives an isomorphic lift, and keeps each of the
+    three tests' answers.  A q of order n*q below the best order found,
+    or above 1 + D + ... + D^k, D the most steps out of a base vertex,
+    which bounds the order of a lift of diameter <= k, is only counted.
+    The witnesses
     kept are accepted assignments at the best order of the smallest
     canonical texts, one per text, ranked by ``_text_key`` without a lift
     being built; once the cap is full, a candidate is dropped at its first
@@ -190,13 +207,24 @@ def lift_search(
     byte-identical across reruns with the same arguments.
 
     Raises UnsupportedParameterError unless k, the budget and every group
-    order are ints >= 1 and the seed is an int, before any candidate is
-    evaluated; the template checked its own shape when it was made.
+    order are ints >= 1, the seed is an int and no cover has more than
+    sys.maxsize vertices, before any candidate is evaluated; the template
+    checked its own shape when it was made.
     """
     check_int(k, "diameter", 1)
     check_int(budget, "budget", 1)
     check_int(seed, "seed")
     orders = list(dict.fromkeys(check_int(q, "group order", 1) for q in q_range))
+    largest = template.n * max(orders, default=0)
+    require(largest <= sys.maxsize, f"a cover of {largest} vertices exceeds {sys.maxsize}")
+    # a lift of diameter <= k has at most 1 + D + ... + D^k vertices, D the
+    # most steps out of a base vertex; for D >= 2, D^k passes every order
+    # once k reaches largest's bit length, so k is cut there
+    degree = max(map(len, template.steps_from))
+    if degree == 1:
+        bound = k + 1
+    else:
+        bound = (degree ** (min(k, largest.bit_length()) + 1) - 1) // (degree - 1)
     start = time.perf_counter()
     remaining = budget
     exhaustive = True
@@ -215,7 +243,7 @@ def lift_search(
             exhaustive = False
         count = min(space, remaining)
         remaining -= count
-        if best_order is not None and order < best_order:
+        if order > bound or (best_order is not None and order < best_order):
             continue  # nothing at this order can be kept
         heads: _Heads = {}
         for voltages in _accepted(template, k, q, count, seed):
@@ -241,7 +269,7 @@ def lift_search(
     return SearchReport(
         kind="lift",
         k=k,
-        max_order_tested=template.n * max(orders) if orders else 0,
+        max_order_tested=largest,
         best_order=best_order,
         exhaustive=exhaustive,
         witnesses=tuple(witnesses),
@@ -257,12 +285,18 @@ def _accepted(
     """The assignments over Z_q, of the count ``lift_search`` takes, whose
     lifts are well formed, bipartite and of diameter <= k, judging each
     voltage class once.  A count of at least q^|cotree| judges every class
-    up front, on its tree-zero member, in order of its cotree voltages c.
-    The whole space then yields only an accepted class's members, tree
-    voltages t giving potentials p along ``template.tree`` and each cotree
-    dart (u, v) c + p(v) - p(u); a smaller count yields the seeded samples
-    of an accepted class, and draws none when no class is accepted.  A
-    count below q^|cotree| judges each class on its first sample."""
+    up front, in order of its cotree voltages c: the least class of each
+    orbit of the units of Z_q on its tree-zero member, and every u*c mod q,
+    u a unit, with it.  Each test keeps its answer under u: the
+    well-formedness congruences stay zero or nonzero, u is odd for even q
+    so the parity rule of ``lifts_bipartite`` holds alike, and the lifts
+    are isomorphic, (b, x) -> (b, u*x).  The whole space then yields only
+    an accepted class's members, in order of c: each member's tree
+    voltages t, whose potentials p along ``template.tree`` are walked once
+    per q, and on each cotree dart (u, v) c + p(v) - p(u); a smaller count
+    yields the seeded samples of an accepted class, and draws none when no
+    class is accepted.  A count below q^|cotree| judges each class on its
+    first sample."""
 
     def judge(voltages: Sequence[int], voltage_class: tuple[int, ...]) -> bool:
         return (
@@ -274,11 +308,17 @@ def _accepted(
     tree, cotree = template.tree, template.cotree
     verdicts: dict[tuple[int, ...], bool] = {}
     if q ** len(cotree) <= count:
+        # q <= q^|cotree| <= count here, unless the cotree is empty
+        units = [u for u in range(q) if math.gcd(u, q) == 1] if cotree else [1]
         for voltage_class in itertools.product(range(q), repeat=len(cotree)):
+            if voltage_class in verdicts:
+                continue  # judged with the least class of its orbit
             voltages = [0] * template.dart_count
             for (d, _, _), g in zip(cotree, voltage_class):
                 voltages[d] = g
-            verdicts[voltage_class] = judge(voltages, voltage_class)
+            verdict = judge(voltages, voltage_class)
+            for u in units:
+                verdicts[tuple(u * g % q for g in voltage_class)] = verdict
         if not any(verdicts.values()):
             return
     if count < q**template.dart_count:
@@ -290,15 +330,18 @@ def _accepted(
             if accepted:
                 yield voltages
         return
-    for voltage_class in (c for c, ok in verdicts.items() if ok):
-        voltages = [0] * template.dart_count
-        for shifts in itertools.product(range(q), repeat=len(tree)):
-            p = [0] * template.n
-            for (v, u, d, sign), g in zip(tree, shifts):
-                p[v] = p[u] + sign * g
-                voltages[d] = g
-            for (d, u, v), g in zip(cotree, voltage_class):
-                voltages[d] = (g - p[u] + p[v]) % q
+    # per member: its tree voltages, and p(v) - p(u) for each cotree dart
+    members = []
+    for shifts in itertools.product(range(q), repeat=len(tree)):
+        voltages, p = [0] * template.dart_count, [0] * template.n
+        for (v, u, d, sign), g in zip(tree, shifts):
+            p[v] = p[u] + sign * g
+            voltages[d] = g
+        members.append((voltages, [p[v] - p[u] for _, u, v in cotree]))
+    for voltage_class in sorted(c for c, ok in verdicts.items() if ok):
+        for voltages, offsets in members:
+            for (d, _, _), g, offset in zip(cotree, voltage_class, offsets):
+                voltages[d] = (g + offset) % q
             yield tuple(voltages)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from mixedgraphs import (
     MixedGraph, bdm, cli, diameter, families, format_edge_list, moore_bipartite, parse_edge_list,
+    search,
 )
 from mixedgraphs.cli import graph_from_json, graph_to_dot, graph_to_json, main
 from mixedgraphs.errors import MalformedGraphError
@@ -519,3 +520,21 @@ def test_analyze_too_many_vertices_is_an_error(tmp_path, capsys, text):
 )
 def test_search_on_a_cover_too_large_is_an_error(capsys, argv):
     assert_one_line_error(*run_cli(capsys, "search", *argv))
+
+
+@pytest.mark.parametrize("q", ["100000000", "10000000000"])
+def test_search_lift_counts_an_order_too_large_for_k_without_judging_it(
+    monkeypatch, capsys, q
+):
+    # a lift of diameter <= 6 of the four-vertex template, two steps out of
+    # each base vertex, has at most 127 vertices: the q is counted, and no
+    # class of it is measured
+    monkeypatch.setattr(search, "lift_diameter", refuse_evaluation)
+    code, out, err = run_cli(
+        capsys, "search", "lift", "--k", "6", "--q", q, "--budget", "3", "--seed", "1"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        f"searchreport kind=lift k=6 max_order_tested={4 * int(q)} best_order=-"
+        " exhaustive=false candidates=3 seed=1\nwitnesses 0\n"
+    )

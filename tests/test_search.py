@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import re
 import time
@@ -410,16 +411,33 @@ def test_lift_evaluator_matches_reference_on_every_assignment(template, q):
         assert_template_matches_reference(template, q, voltages)
 
 
+def tree_zero_member(template, voltage_class):
+    """The member of a voltage class with voltage 0 on the tree."""
+    voltages = [0] * template.dart_count
+    for (d, _, _), g in zip(template.cotree, voltage_class):
+        voltages[d] = g
+    return tuple(voltages)
+
+
+def least_of_each_unit_orbit(q, length):
+    """The least member of each orbit of Z_q^length under multiplication by
+    the units of Z_q, in increasing order, by brute force."""
+    units = [u for u in range(1, q + 1) if math.gcd(u, q) == 1]
+    orbits = {
+        frozenset(tuple(u * g % q for g in c) for u in units)
+        for c in itertools.product(range(q), repeat=length)
+    }
+    return sorted(min(orbit) for orbit in orbits)
+
+
 def tree_zero_members(template, q):
-    """Each voltage class over Z_q on its member with voltage 0 on the
-    tree, in order of its cotree voltages."""
-    members = []
-    for voltage_class in itertools.product(range(q), repeat=len(template.cotree)):
-        voltages = [0] * template.dart_count
-        for (d, _, _), g in zip(template.cotree, voltage_class):
-            voltages[d] = g
-        members.append((q, tuple(voltages)))
-    return members
+    """The least voltage class over Z_q of each orbit of the units of Z_q,
+    on its member with voltage 0 on the tree, in order of its cotree
+    voltages."""
+    return [
+        (q, tree_zero_member(template, voltage_class))
+        for voltage_class in least_of_each_unit_orbit(q, len(template.cotree))
+    ]
 
 
 def first_samples_of_each_class(template, q, count, seed):
@@ -434,18 +452,20 @@ def first_samples_of_each_class(template, q, count, seed):
 
 def lift_sweep_judged_members(template):
     """The members on which the lift-sweep search, lift_search(6, template,
-    [5, 7], 20000, 1), judges its voltage classes, in order: every class of
-    the fully enumerated q = 5, then every class of the sampled q = 7 (the
-    4,375 samples outnumber its 7^3 classes), each on its tree-zero
-    member, in order of its cotree voltages."""
+    [5, 7], 20000, 1), judges its voltage classes, in order: one class per
+    orbit of the units of Z_5 at the fully enumerated q = 5 (32 of the 5^3
+    classes), then one per orbit of the units of Z_7 at the sampled q = 7
+    (58 of 7^3; the 4,375 samples outnumber the classes), each the least
+    of its orbit, on its tree-zero member, in order of its cotree
+    voltages."""
     return tree_zero_members(template, 5) + tree_zero_members(template, 7)
 
 
 def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
-    # the lift-sweep search: each voltage class is judged once, on its
-    # tree-zero member, at the fully enumerated q = 5 and before any
-    # sample is drawn at the sampled q = 7, and a lift is built only for a
-    # kept witness, once the search is over
+    # the lift-sweep search: each orbit of the units of Z_q is judged once,
+    # on the tree-zero member of its least class, at the fully enumerated
+    # q = 5 and before any sample is drawn at the sampled q = 7, and a lift
+    # is built only for a kept witness, once the search is over
     built, judged = [], []
 
     def counting_cover(template, q, voltages):
@@ -470,7 +490,7 @@ def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
     assert judged == [(q, v) for q, v in lift_sweep_judged_members(template)
                       if template.well_formed(q, v)]
     classes = {(q, template.voltage_class(q, v)) for q, v in judged}
-    assert len(classes) == len(judged) <= 5**3 + 7**3
+    assert len(classes) == len(judged) <= 32 + 58
     # the reference text ranking: the _WITNESS_CAP smallest texts among
     # the accepted lifts at the best order, each candidate judged on its own
     space = [(5, v) for v in itertools.product(range(5), repeat=6)]
@@ -782,6 +802,55 @@ def test_accepted_matches_the_per_sample_memo(arguments):
     assert list(search._accepted(*arguments)) == list(reference_accepted(*arguments))
 
 
+@st.composite
+def unit_multiples(draw):
+    """A template, q <= 12, a voltage class c over Z_q and a unit u of Z_q."""
+    template = draw(st.sampled_from(ACCEPTED_TEMPLATES))
+    q = draw(st.integers(1, 12))
+    length = len(template.cotree)
+    c = draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length))
+    u = draw(st.sampled_from([u for u in range(1, q + 1) if math.gcd(u, q) == 1]))
+    return template, q, tuple(c), u
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_multiples())
+def test_unit_multiples_of_a_class_are_judged_alike(arguments):
+    # multiplying every voltage by a unit u maps lift vertex (b, x) to
+    # (b, u*x), an isomorphism: the up-front pass judges one class per orbit
+    template, q, c, u = arguments
+    uc = tuple(u * g % q for g in c)
+    member, multiple = tree_zero_member(template, c), tree_zero_member(template, uc)
+    assert template.well_formed(q, member) == template.well_formed(q, multiple)
+    assert template.lifts_bipartite(q, c) == template.lifts_bipartite(q, uc)
+    assert lift_diameter(template, q, member) == lift_diameter(template, q, multiple)
+
+
+@pytest.mark.parametrize(
+    "template, q",
+    [(template, q) for template in ACCEPTED_TEMPLATES for q in (1, 2, 7, 8, 9, 12)],
+    ids=[f"{name}-q{q}" for name in ("triangle", "parallel", "cdrm-loops", "forest",
+                                     "point", "two", "four") for q in (1, 2, 7, 8, 9, 12)],
+)
+def test_up_front_pass_judges_one_class_per_unit_orbit(monkeypatch, template, q):
+    # every class is judged up front once the count reaches q^|cotree|:
+    # one per orbit, the least, also where a composite q gives some
+    # orbits a stabiliser
+    calls = []
+
+    def recording_well_formed(template, q, voltages):
+        calls.append(tuple(voltages))
+        return well_formed(template, q, voltages)
+
+    well_formed = LiftTemplate.well_formed
+    monkeypatch.setattr(LiftTemplate, "well_formed", recording_well_formed)
+    count = q ** len(template.cotree)
+    list(search._accepted(template, 2 * template.n, q, count, seed=1))
+    monkeypatch.undo()
+    orbits = least_of_each_unit_orbit(q, len(template.cotree))
+    assert calls == [tree_zero_member(template, c) for c in orbits]
+
+
 @pytest.mark.parametrize(
     "template, q_range, budget",
     [(FOREST, [2, 3, 4], 10**4), (FOREST, [3, 4], 3**6 + 500), (POINT, range(1, 9), 10**4)],
@@ -794,10 +863,13 @@ def test_lift_search_matches_the_reference_when_every_diameter_passes(
     # every lift passing it are the members of a class on a forest (or an
     # empty tree) made and ranked.  lifts_bipartite is exact here although
     # some lifts are disconnected: FOREST is bipartite, and for q <= 8 no
-    # well-formed lift of POINT is a bipartite one with an even voltage
+    # well-formed lift of POINT is a bipartite one with an even voltage.
+    # At k = 5 no order here (16 at most) passes the bound on the order of
+    # a lift of diameter <= k: 1 + 2 + ... + 2^5, two steps out of each
+    # base vertex
     monkeypatch.setattr(search, "lift_diameter", lambda *args: 1)
-    report = lift_search(1, template, q_range, budget, seed=1)
-    expected = reference_lift_search(1, template, q_range, budget, seed=1)
+    report = lift_search(5, template, q_range, budget, seed=1)
+    expected = reference_lift_search(5, template, q_range, budget, seed=1)
     assert report.witnesses and report.serialize() == expected.serialize()
 
 
@@ -889,8 +961,9 @@ def test_voltage_class_equals_the_symbolic_cycles_on_every_assignment(template, 
 
 
 def test_lift_search_checks_well_formedness_once_per_class(monkeypatch):
-    # the lift-sweep search: well_formed runs once per class, on the member
-    # that judges it, then once per kept witness as cover builds it
+    # the lift-sweep search: well_formed runs once per orbit of the units
+    # of Z_q, on the member that judges it, then once per kept witness as
+    # cover builds it
     calls = []
 
     def counting_well_formed(template, q, voltages):
@@ -905,7 +978,7 @@ def test_lift_search_checks_well_formedness_once_per_class(monkeypatch):
 
     judged = lift_sweep_judged_members(template)
     assert calls[: len(judged)] == judged
-    assert len(calls) == len(judged) + search._WITNESS_CAP <= 5**3 + 7**3 + 8
+    assert len(calls) == len(judged) + search._WITNESS_CAP == 32 + 58 + 8
 
 
 def refuse_evaluation(*args):
