@@ -20,26 +20,25 @@ The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
 the voltage graph (template, q, voltages) that ``families.lift`` takes.
 Two assignments of one voltage class (``LiftTemplate.voltage_class``)
-have isomorphic lifts, and a class's members differ only by fibre shifts
-along the spanning forest (Gross and Tucker).  So the search judges each
-class once, on one member, exactly: well formed (from the voltages alone),
+have isomorphic lifts, and so have a class c and u*c, u a unit of Z_q:
+(b, x) -> (b, u*x) is an isomorphism (Gross and Tucker).  So the search
+judges each class once, on its tree-zero member (voltage 0 on the
+spanning forest), exactly: well formed (from the voltages alone),
 bipartite, and of diameter <= k (``metrics.lift_diameter``, which builds
 no graph).  A connected lift is bipartite exactly when the base is, or
 when q is even and every class voltage has the parity of its fundamental
 cycle (``LiftTemplate.lifts_bipartite``); a disconnected one fails the
-diameter test.  A q that takes at least one assignment per class has
-its q^|cotree| classes judged up front, on their tree-zero members, and
-makes only an accepted class's members or keeps only its samples, so it
-draws none when no class is accepted; fewer samples than classes judge
-each class on its first.  The up-front pass judges one class per orbit
-of the units of Z_q, the least, and gives its verdict to the orbit:
-multiplying every voltage by a unit u maps lift vertex (b, x) to
-(b, u*x), an isomorphism, and each test keeps its answer on its own.  A
+diameter test.  Each test keeps its answer under a unit on its own: a
 congruence g_i +- g_j = 0 (mod q) holds for u*g exactly when it holds for
-g; for even q a unit is odd, so u*g keeps the parities that the class's
-parity rule reads; and the two lifts have one diameter.  The tree part
-of the members, their tree voltages and each cotree dart's potential
-offset, is made once per q.  A lift of diameter <= k has at most
+g, and for even q a unit is odd, so u*g keeps the parities that the rule
+reads.  The verdict is stored for the whole orbit of the class.  A q that
+takes at least one assignment per class judges all q^|cotree| classes
+before any candidate, so it draws nothing when no class is accepted; its
+units are listed only then, where they number at most the count.  Fewer
+samples than classes judge the classes the samples meet, and store each
+verdict for the class alone.  A fully enumerated q makes only an
+accepted class's members: tree voltages t, and on the cotree the class
+less the class of t alone.  A lift of diameter <= k has at most
 1 + D + ... + D^k vertices, D the most steps out of a base vertex, so a
 q of larger order is only counted.  The witnesses are ranked by their
 canonical text without rendering it, by the heads of its lines alone
@@ -186,18 +185,17 @@ def lift_search(
     ``q_range``, the q^darts assignment space is enumerated fully when it
     fits in the remaining budget and sampled deterministically from a
     counter-based generator keyed by the seed otherwise; every assignment
-    counts as a candidate.  All assignments of one voltage class have
-    isomorphic lifts, so each class is judged once (``_accepted``): well
-    formed, bipartite by the class's parity rule
-    (``LiftTemplate.lifts_bipartite``, exact for every lift of finite
-    diameter), and of diameter <= k by ``metrics.lift_diameter``; up front
-    when q takes at least q^|cotree| assignments, so that a q with no
-    accepted class draws no sample, else on its first sample.  Up front,
-    one class per orbit of the units of Z_q is judged: multiplying every
-    voltage by a unit gives an isomorphic lift, and keeps each of the
-    three tests' answers.  A q of order n*q below the best order found,
-    or above 1 + D + ... + D^k, D the most steps out of a base vertex,
-    which bounds the order of a lift of diameter <= k, is only counted.
+    counts as a candidate.  All assignments of one voltage class, and all
+    unit multiples of it, have isomorphic lifts, so each class is judged
+    once (``_accepted``), on its tree-zero member: well formed, bipartite
+    by the class's parity rule (``LiftTemplate.lifts_bipartite``, exact for
+    every lift of finite diameter), and of diameter <= k by
+    ``metrics.lift_diameter``.  A q that takes at least q^|cotree|
+    assignments judges every class before any candidate, so that a q with
+    no accepted class draws no sample; a smaller count judges the classes
+    its samples meet.  A q of order n*q below the best order found, or
+    above 1 + D + ... + D^k, D the most steps out of a base vertex, which
+    bounds the order of a lift of diameter <= k, is only counted.
     The witnesses
     kept are accepted assignments at the best order of the smallest
     canonical texts, one per text, ranked by ``_text_key`` without a lift
@@ -283,65 +281,62 @@ def _accepted(
     template: LiftTemplate, k: int, q: int, count: int, seed: int
 ) -> Iterator[Sequence[int]]:
     """The assignments over Z_q, of the count ``lift_search`` takes, whose
-    lifts are well formed, bipartite and of diameter <= k, judging each
-    voltage class once.  A count of at least q^|cotree| judges every class
-    up front, in order of its cotree voltages c: the least class of each
-    orbit of the units of Z_q on its tree-zero member, and every u*c mod q,
-    u a unit, with it.  Each test keeps its answer under u: the
-    well-formedness congruences stay zero or nonzero, u is odd for even q
-    so the parity rule of ``lifts_bipartite`` holds alike, and the lifts
-    are isomorphic, (b, x) -> (b, u*x).  The whole space then yields only
-    an accepted class's members, in order of c: each member's tree
-    voltages t, whose potentials p along ``template.tree`` are walked once
-    per q, and on each cotree dart (u, v) c + p(v) - p(u); a smaller count
-    yields the seeded samples of an accepted class, and draws none when no
-    class is accepted.  A count below q^|cotree| judges each class on its
-    first sample."""
+    lifts are well formed, bipartite and of diameter <= k.  ``accepted``
+    judges a voltage class once, on its tree-zero member, and stores the
+    verdict for every u*c mod q, u a unit of Z_q: u*g keeps each
+    well-formedness congruence zero or nonzero, u is odd for even q so the
+    parity rule of ``lifts_bipartite`` holds alike, and the lifts are
+    isomorphic, (b, x) -> (b, u*x).  A count of at least q^|cotree| judges
+    every class up front, in order of its cotree voltages c, and yields
+    nothing when none is accepted.  The units are listed only then: below
+    that count q may exceed the count, and its units the samples.  The
+    whole space then yields only an accepted class's members, in order of
+    c: each member's tree voltages t, and on the cotree c less the class of
+    t with a zero cotree.  A smaller count yields the seeded samples of an
+    accepted class."""
 
-    def judge(voltages: Sequence[int], voltage_class: tuple[int, ...]) -> bool:
-        return (
-            template.well_formed(q, voltages)
-            and template.lifts_bipartite(q, voltage_class)
-            and lift_diameter(template, q, voltages) <= k
-        )
-
-    tree, cotree = template.tree, template.cotree
+    cotree = template.cotree
+    up_front = q ** len(cotree) <= count
+    # listing them takes q steps: up front, q <= q^|cotree| <= count for a
+    # non-empty cotree
+    units = [u for u in range(q) if math.gcd(u, q) == 1] if up_front and cotree else [1]
     verdicts: dict[tuple[int, ...], bool] = {}
-    if q ** len(cotree) <= count:
-        # q <= q^|cotree| <= count here, unless the cotree is empty
-        units = [u for u in range(q) if math.gcd(u, q) == 1] if cotree else [1]
-        for voltage_class in itertools.product(range(q), repeat=len(cotree)):
-            if voltage_class in verdicts:
-                continue  # judged with the least class of its orbit
+
+    def accepted(voltage_class: tuple[int, ...]) -> bool:
+        verdict = verdicts.get(voltage_class)
+        if verdict is None:
             voltages = [0] * template.dart_count
             for (d, _, _), g in zip(cotree, voltage_class):
                 voltages[d] = g
-            verdict = judge(voltages, voltage_class)
+            verdict = (
+                template.well_formed(q, voltages)
+                and template.lifts_bipartite(q, voltage_class)
+                and lift_diameter(template, q, voltages) <= k
+            )
             for u in units:
                 verdicts[tuple(u * g % q for g in voltage_class)] = verdict
-        if not any(verdicts.values()):
+        return verdict
+
+    if up_front:
+        classes = [c for c in itertools.product(range(q), repeat=len(cotree)) if accepted(c)]
+        if not classes:
             return
     if count < q**template.dart_count:
         for voltages in _sample_voltages(seed, q, count, template.dart_count):
-            voltage_class = template.voltage_class(q, voltages)
-            accepted = verdicts.get(voltage_class)
-            if accepted is None:
-                accepted = verdicts[voltage_class] = judge(voltages, voltage_class)
-            if accepted:
+            if accepted(template.voltage_class(q, voltages)):
                 yield voltages
         return
-    # per member: its tree voltages, and p(v) - p(u) for each cotree dart
+    # per member: its tree voltages, and the class they give with a zero cotree
     members = []
-    for shifts in itertools.product(range(q), repeat=len(tree)):
-        voltages, p = [0] * template.dart_count, [0] * template.n
-        for (v, u, d, sign), g in zip(tree, shifts):
-            p[v] = p[u] + sign * g
+    for shifts in itertools.product(range(q), repeat=len(template.tree)):
+        voltages = [0] * template.dart_count
+        for (_, _, d, _), g in zip(template.tree, shifts):
             voltages[d] = g
-        members.append((voltages, [p[v] - p[u] for _, u, v in cotree]))
-    for voltage_class in sorted(c for c, ok in verdicts.items() if ok):
-        for voltages, offsets in members:
-            for (d, _, _), g, offset in zip(cotree, voltage_class, offsets):
-                voltages[d] = (g + offset) % q
+        members.append((voltages, template.voltage_class(q, voltages)))
+    for voltage_class in classes:
+        for voltages, base in members:
+            for (d, _, _), g, b in zip(cotree, voltage_class, base):
+                voltages[d] = (g - b) % q
             yield tuple(voltages)
 
 

@@ -440,14 +440,14 @@ def tree_zero_members(template, q):
     ]
 
 
-def first_samples_of_each_class(template, q, count, seed):
-    """The first of count seeded samples over Z_q met in each voltage
-    class, in order of the samples."""
-    first_of_class = {}
+def tree_zero_members_of_classes_met(template, q, count, seed):
+    """The tree-zero member of each voltage class that count seeded samples
+    over Z_q meet, in the order the samples first meet the classes."""
+    met = {}
     for i in range(count):
         voltages = reference_sample_voltages(seed, q, i, template.dart_count)
-        first_of_class.setdefault(template.voltage_class(q, voltages), voltages)
-    return [(q, v) for v in first_of_class.values()]
+        met.setdefault(template.voltage_class(q, voltages))
+    return [(q, tree_zero_member(template, c)) for c in met]
 
 
 def lift_sweep_judged_members(template):
@@ -594,8 +594,8 @@ PARALLEL = LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0), (1, 0)))
 FOREST = LiftTemplate(4, ((0, 1), (2, 3)), ((0, 1), (1, 0), (2, 3), (3, 2)))
 # one vertex: the tree is empty and every dart is in the cotree
 POINT = LiftTemplate(1, (), ((0, 0), (0, 0)))
-# budgets below q^|cotree|, so that each class is judged on its first
-# sample: an accepted class (best order 18), none accepted, an even q on a
+# budgets below q^|cotree|, so that only the classes the samples meet are
+# judged: an accepted class (best order 18), none accepted, an even q on a
 # bipartite base (24), and an even q on a base that is not bipartite (24)
 MEMO_CASES = (
     [(5, two_vertex_template(), [9], 60, seed) for seed in (1, 2)]
@@ -665,11 +665,11 @@ def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, b
     [case + (best,) for case, best in zip(MEMO_CASES, [18, 18, None, None, 24, 24, 24, 24])],
     ids=[f"memo{i}" for i in range(len(MEMO_CASES))],
 )
-def test_memo_cases_judge_each_class_on_its_first_sample(
+def test_memo_cases_judge_each_class_met_on_its_tree_zero_member(
     monkeypatch, k, template, q_range, budget, seed, best_order
 ):
     # the budget is below q^|cotree|: the classes are judged as the samples
-    # meet them, not up front
+    # meet them, not up front, each on its tree-zero member
     (q,) = q_range
     assert budget < q ** len(template.cotree)
     calls = []
@@ -683,7 +683,7 @@ def test_memo_cases_judge_each_class_on_its_first_sample(
     report = lift_search(k, template, q_range, budget, seed)
     monkeypatch.undo()
 
-    judged = first_samples_of_each_class(template, q, budget, seed)
+    judged = tree_zero_members_of_classes_met(template, q, budget, seed)
     assert calls[: len(judged)] == judged
     assert len(calls) <= len(judged) + search._WITNESS_CAP
     assert report.best_order == best_order
@@ -849,6 +849,50 @@ def test_up_front_pass_judges_one_class_per_unit_orbit(monkeypatch, template, q)
     monkeypatch.undo()
     orbits = least_of_each_unit_orbit(q, len(template.cotree))
     assert calls == [tree_zero_member(template, c) for c in orbits]
+
+
+ACCEPTED_TEMPLATE_NAMES = ("triangle", "parallel", "cdrm-loops", "forest", "point", "two", "four")
+
+
+@pytest.mark.parametrize("regime", ["whole", "up-front", "sampled"])
+@pytest.mark.parametrize("q", [5, 6])
+@pytest.mark.parametrize("template", ACCEPTED_TEMPLATES, ids=ACCEPTED_TEMPLATE_NAMES)
+def test_accepted_judges_each_class_once_on_its_tree_zero_member(
+    monkeypatch, template, q, regime
+):
+    # one judge at every count: the whole space, a sampled q with at least
+    # one sample per class, and fewer samples than classes.  k is past the
+    # diameter of every connected lift, so every well-formed class that
+    # lifts bipartite is measured
+    classes, space = q ** len(template.cotree), q**template.dart_count
+    count = {"whole": space, "up-front": classes, "sampled": classes - 1}[regime]
+    well_formed_calls, diameter_calls = [], []
+
+    def recording_well_formed(template, q, voltages):
+        well_formed_calls.append(tuple(voltages))
+        return well_formed(template, q, voltages)
+
+    def recording_lift_diameter(template, q, voltages):
+        diameter_calls.append(tuple(voltages))
+        return lift_diameter(template, q, voltages)
+
+    well_formed = LiftTemplate.well_formed
+    monkeypatch.setattr(LiftTemplate, "well_formed", recording_well_formed)
+    monkeypatch.setattr(search, "lift_diameter", recording_lift_diameter)
+    list(search._accepted(template, template.n * q, q, count, seed=1))
+    monkeypatch.undo()
+
+    assert well_formed_calls and (diameter_calls or not template.bipartite)
+    for voltages in well_formed_calls + diameter_calls:
+        assert all(voltages[d] == 0 for _, _, d, _ in template.tree), voltages
+    judged = [template.voltage_class(q, v) for v in well_formed_calls]
+    assert len(set(judged)) == len(judged)
+    assert len(set(diameter_calls)) == len(diameter_calls)
+    assert set(diameter_calls) <= set(well_formed_calls)
+    if count >= classes:
+        units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+        orbits = {frozenset(tuple(u * g % q for g in c) for u in units) for c in judged}
+        assert len(orbits) == len(judged)
 
 
 @pytest.mark.parametrize(
