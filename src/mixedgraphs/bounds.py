@@ -9,19 +9,20 @@ exact answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .core import Record, _set
 from .errors import check_int
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """All order bounds for unit degrees at one diameter."""
 
-    k: int
-    moore: int
-    improved: int
-    crm_upper: int
+    __slots__ = ("k", "moore", "improved", "crm_upper")
+
+    def __init__(self, k: int, moore: int, improved: int, crm_upper: int) -> None:
+        _set(self, "k", k)
+        _set(self, "moore", moore)
+        _set(self, "improved", improved)
+        _set(self, "crm_upper", crm_upper)
 
 
 def moore_bipartite(r: int, z: int, k: int) -> int:

@@ -216,7 +216,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MixedGraphError(f"cannot read {args.path}: {exc}") from exc
-    g = graph_from_json(text) if text.lstrip().startswith("{") else parse_edge_list(text)
+    # JSON text opens with "{" or "[", an edge list with its "mixedgraph" header
+    g = graph_from_json(text) if text.lstrip()[:1] in ("{", "[") else parse_edge_list(text)
     profile = validate_and_profile(g)
     report = metrics.eccentricity_report(g)
     print(f"vertices: {g.n}")

@@ -2,21 +2,57 @@
 
 A mixed graph here carries plain undirected edges alongside directed arcs.
 Each vertex has at most one edge (stored as an optional partner id) and an
-ordered tuple of out-arc heads.  All operations are pure: graphs are frozen
-after construction and safe to share between threads.
+ordered tuple of out-arc heads.  All operations are pure: graphs and the
+package's other records are ``__slots__`` classes that refuse assignment
+after construction, and are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadPermutationError, MalformedGraphError, check_int, require
 
+_set = object.__setattr__  # how a record's __init__ sets its fields
 
-@dataclass(frozen=True)
-class MixedGraph:
+
+class Record:
+    """Base of the package's immutable records.  A record names its fields
+    in ``__slots__`` and sets them in its own ``__init__`` with ``_set``.
+    Records of one exact type are equal when their fields are; the fields
+    also give the hash, the repr and the pickle (rebuilt through
+    ``__init__``, as the slots refuse assignment), and assignment or
+    deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class MixedGraph(Record):
     """A mixed graph on vertices 0..n-1.
 
     ``edge_partner[v]`` is the unique undirected neighbour of ``v`` (or
@@ -25,10 +61,16 @@ class MixedGraph:
     ``labels`` is optional display metadata; no algorithm looks at it.
     """
 
-    n: int
-    edge_partner: tuple[Optional[int], ...]
-    out_arcs: tuple[tuple[int, ...], ...]
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("n", "edge_partner", "out_arcs", "labels")
+
+    def __init__(
+        self, n: int, edge_partner: tuple[Optional[int], ...],
+        out_arcs: tuple[tuple[int, ...], ...], labels: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "edge_partner", edge_partner)
+        _set(self, "out_arcs", out_arcs)
+        _set(self, "labels", labels)
 
     @staticmethod
     def build(
@@ -126,14 +168,19 @@ class MixedGraph:
         )
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     """Per-vertex degrees of a mixed graph plus bipartiteness."""
 
-    undirected: tuple[int, ...]
-    out_degree: tuple[int, ...]
-    in_degree: tuple[int, ...]
-    bipartite_ok: bool
+    __slots__ = ("undirected", "out_degree", "in_degree", "bipartite_ok")
+
+    def __init__(
+        self, undirected: tuple[int, ...], out_degree: tuple[int, ...],
+        in_degree: tuple[int, ...], bipartite_ok: bool,
+    ) -> None:
+        _set(self, "undirected", undirected)
+        _set(self, "out_degree", out_degree)
+        _set(self, "in_degree", in_degree)
+        _set(self, "bipartite_ok", bipartite_ok)
 
     def is_totally_regular(self, r: int, z: int) -> bool:
         """True iff every vertex has undirected degree r and in- and

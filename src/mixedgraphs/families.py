@@ -19,11 +19,10 @@ per dart, edge darts first (Gross and Tucker, Topological Graph Theory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Literal, Optional, Sequence
 
-from .core import MixedGraph, breadth_first_forest
+from .core import MixedGraph, Record, _set, breadth_first_forest
 from .errors import (
     MalformedBaseError,
     MalformedGraphError,
@@ -36,13 +35,15 @@ from .errors import (
 from .metrics import lift_diameter as _lift_diameter
 
 
-@dataclass(frozen=True)
-class BdmVertex:
+class BdmVertex(Record):
     """Coordinate triple (alpha, i)_beta addressing doubled-family vertices."""
 
-    alpha: int
-    i: int
-    beta: int
+    __slots__ = ("alpha", "i", "beta")
+
+    def __init__(self, alpha: int, i: int, beta: int) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "i", i)
+        _set(self, "beta", beta)
 
     def index(self, m: int) -> int:
         return 2 * m * self.beta + m * self.alpha + self.i
@@ -293,16 +294,20 @@ CrmCase = Literal["a", "b", "c1", "c2"]
 CdrmConvention = Literal["shift", "reflect"]
 
 
-@dataclass(frozen=True)
-class CrmParams:
+class CrmParams(Record):
     """Optimal chordal-ring parameters for one diameter."""
 
-    k: int
-    case: CrmCase
-    n: int
-    c: int
-    ell: int
-    t: Optional[int]
+    __slots__ = ("k", "case", "n", "c", "ell", "t")
+
+    def __init__(
+        self, k: int, case: CrmCase, n: int, c: int, ell: int, t: Optional[int]
+    ) -> None:
+        _set(self, "k", k)
+        _set(self, "case", case)
+        _set(self, "n", n)
+        _set(self, "c", c)
+        _set(self, "ell", ell)
+        _set(self, "t", t)
 
 
 def crm(n: int, c: int) -> MixedGraph:
@@ -627,7 +632,7 @@ def lift(template: LiftTemplate, q: int, voltages: Sequence[int]) -> MixedGraph:
             " edges at a vertex, a repeated arc, a digon or an arc along an edge"
         )
     labels = tuple(f"({b},{x})" for b in range(template.n) for x in range(q))
-    return replace(g, labels=labels)
+    return MixedGraph(g.n, g.edge_partner, g.out_arcs, labels)
 
 
 def bdm5_base() -> tuple[LiftTemplate, int, tuple[int, ...]]:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .core import MixedGraph, ball_rounds, breadth_first_forest
+from .core import MixedGraph, Record, _set, ball_rounds, breadth_first_forest
 from .errors import MalformedBaseError, check_int, require
 
 if TYPE_CHECKING:  # families imports this module
@@ -34,15 +33,19 @@ INFINITE = math.inf
 Eccentricity = Union[int, float]
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Record):
     """All-pairs shortest path lengths; UNREACHABLE marks absent paths.
 
     ``eccentricities[v]`` is the largest entry of row v, or INFINITE if the
     row has an UNREACHABLE entry."""
 
-    rows: tuple[tuple[int, ...], ...]
-    eccentricities: tuple[Eccentricity, ...]
+    __slots__ = ("rows", "eccentricities")
+
+    def __init__(
+        self, rows: tuple[tuple[int, ...], ...], eccentricities: tuple[Eccentricity, ...]
+    ) -> None:
+        _set(self, "rows", rows)
+        _set(self, "eccentricities", eccentricities)
 
     @property
     def n(self) -> int:
@@ -56,17 +59,25 @@ class DistanceMatrix:
         return max(self.eccentricities, default=0)
 
 
-@dataclass(frozen=True)
-class EccentricityReport:
+class EccentricityReport(Record):
     """Out/in eccentricities with the derived diameter, radii, and centres."""
 
-    ecc_out: tuple[Eccentricity, ...]
-    ecc_in: tuple[Eccentricity, ...]
-    diameter: Eccentricity
-    out_radius: Eccentricity
-    in_radius: Eccentricity
-    out_central: tuple[int, ...]
-    in_central: tuple[int, ...]
+    __slots__ = (
+        "ecc_out", "ecc_in", "diameter", "out_radius", "in_radius", "out_central", "in_central"
+    )
+
+    def __init__(
+        self, ecc_out: tuple[Eccentricity, ...], ecc_in: tuple[Eccentricity, ...],
+        diameter: Eccentricity, out_radius: Eccentricity, in_radius: Eccentricity,
+        out_central: tuple[int, ...], in_central: tuple[int, ...],
+    ) -> None:
+        _set(self, "ecc_out", ecc_out)
+        _set(self, "ecc_in", ecc_in)
+        _set(self, "diameter", diameter)
+        _set(self, "out_radius", out_radius)
+        _set(self, "in_radius", in_radius)
+        _set(self, "out_central", out_central)
+        _set(self, "in_central", in_central)
 
 
 def distances_from(g: MixedGraph, src: int) -> list[int]:

@@ -53,10 +53,9 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import MixedGraph, format_edge_list, isomorphism_classes
+from .core import MixedGraph, Record, _set, format_edge_list, isomorphism_classes
 from .errors import check_int, require
 from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph, lift
 from .metrics import diameter, lift_diameter
@@ -67,8 +66,7 @@ _MASK64 = (1 << 64) - 1
 _Heads = dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]]
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     """Outcome of one search run.
 
     ``witnesses`` holds representatives up to isomorphism, sorted by their
@@ -80,15 +78,25 @@ class SearchReport:
     the same seed and budget serialize byte-identically.
     """
 
-    kind: str
-    k: int
-    max_order_tested: int
-    best_order: Optional[int]
-    exhaustive: bool
-    witnesses: tuple[MixedGraph, ...]
-    candidates: int
-    wall_time: float
-    seed: Optional[int] = None
+    __slots__ = (
+        "kind", "k", "max_order_tested", "best_order", "exhaustive", "witnesses",
+        "candidates", "wall_time", "seed",
+    )
+
+    def __init__(
+        self, kind: str, k: int, max_order_tested: int, best_order: Optional[int],
+        exhaustive: bool, witnesses: tuple[MixedGraph, ...], candidates: int,
+        wall_time: float, seed: Optional[int] = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "k", k)
+        _set(self, "max_order_tested", max_order_tested)
+        _set(self, "best_order", best_order)
+        _set(self, "exhaustive", exhaustive)
+        _set(self, "witnesses", witnesses)
+        _set(self, "candidates", candidates)
+        _set(self, "wall_time", wall_time)
+        _set(self, "seed", seed)
 
     def serialize(self) -> str:
         seed = "-" if self.seed is None else str(self.seed)

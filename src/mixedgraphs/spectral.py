@@ -17,9 +17,9 @@ root iteration; determinism matters more than speed at these sizes.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Sequence
 
+from .core import Record, _set
 from .errors import NoConvergenceError, check_int, require
 from .families import LiftTemplate, bdm5_base
 
@@ -31,17 +31,22 @@ _CLUSTER_RADIUS = 1e-2
 ComplexMatrix = list[list[complex]]
 
 
-@dataclass(frozen=True)
-class PolynomialMatrix:
+class PolynomialMatrix(Record):
     """Square matrix whose entries are integer polynomials in z modulo z^q.
 
     ``entries[i][j]`` maps exponent -> coefficient, with exponents reduced
     into 0..q-1.
     """
 
-    size: int
-    group_order: int
-    entries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    __slots__ = ("size", "group_order", "entries")
+
+    def __init__(
+        self, size: int, group_order: int,
+        entries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...],
+    ) -> None:
+        _set(self, "size", size)
+        _set(self, "group_order", group_order)
+        _set(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> dict[int, int]:
         return dict(self.entries[i][j])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -352,7 +351,7 @@ def test_verify_crm_table6_fails_a_row_above_the_order_bound(monkeypatch, capsys
     def crm_optimal(k):
         params = real(k)
         if k == 9:  # crm_upper(9) = 50
-            return dataclasses.replace(params, n=52)
+            return families.CrmParams(params.k, params.case, 52, params.c, params.ell, params.t)
         return params
 
     monkeypatch.setattr(families, "crm_optimal", crm_optimal)
@@ -470,6 +469,15 @@ def test_analyze_rejects_json_booleans_as_ids(tmp_path, capsys, payload):
     path = tmp_path / "graph.json"
     path.write_text(payload)
     assert_one_line_error(*run_cli(capsys, "analyze", str(path)))
+
+
+def test_analyze_sends_a_json_array_to_the_json_reader(tmp_path, capsys):
+    # an edge list opens with "mixedgraph", so "[" can only start JSON
+    path = tmp_path / "graph.json"
+    path.write_text(" \n[1, 2]\n")
+    assert run_cli(capsys, "analyze", str(path)) == (
+        1, "", "error: JSON graph must be an object\n"
+    )
 
 
 def test_analyze_rejects_a_header_with_more_than_the_order(tmp_path, capsys):

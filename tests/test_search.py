@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -569,7 +568,7 @@ def reference_lift_search(k, template, q_range, budget, seed):
                 kept[text] = g
     # vertex (b, x) labelled "(b,x)", as families.lift labels it
     witnesses = isomorphism_classes([
-        dataclasses.replace(g, labels=tuple(
+        MixedGraph(g.n, g.edge_partner, g.out_arcs, tuple(
             f"({b},{x})" for b in range(template.n) for x in range(g.n // template.n)
         ))
         for g in kept.values()

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mixedgraphs").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "mixedgraphs").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -32,3 +34,17 @@ def test_imports_only_the_standard_library(path):
         name for name in absolute_imports(path) if name not in sys.stdlib_module_names
     ]
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter, isolated from the environment and site-packages,
+    # so only the package's own imports count; both modules cost start-up
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import mixedgraphs.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
