@@ -340,9 +340,10 @@ def _verify_walk_formulas() -> int:
 
 
 def _walk_rows_match(g: MixedGraph, m: int, i: int, steps: int) -> bool:
-    start = BdmVertex(0, i, 1).index(m)
+    # one walk E(AE)^steps from (0,i)_1, checked at the end of each AE
+    (endpoint,) = families.walk_pattern(g, BdmVertex(0, i, 1).index(m), edge_first_pattern(1))
     for j in range(2, steps + 1):
-        (endpoint,) = families.walk_pattern(g, start, edge_first_pattern(j))
+        (endpoint,) = families.walk_pattern(g, endpoint, "AE")
         if j % 2 == 0:
             want = BdmVertex(0, path_endpoint_formula("phi", j, i, m), 0)
         else:

@@ -43,8 +43,13 @@ less the class of t alone.  A lift of diameter <= k has at most
 q of larger order is only counted.  The witnesses are ranked by their
 canonical text without rendering it, by the heads of its lines alone
 (``_text_key``), fibre block by fibre block, so that a candidate is
-dropped at its first block above the worst kept key.  A lift is built
-only for a kept witness, once the search is over, by ``families.lift``.
+dropped at its first block above the worst kept key.  The "E" blocks lead
+the key, and fibre b's reads only the voltages of b's edge steps to
+fibres above b, so the verdict of comparing it with the worst key's is
+kept per fibre, keyed by those voltages, until the worst key changes:
+most candidates are dropped by a lookup, with no block made.  A lift is
+built only for a kept witness, once the search is over, by
+``families.lift``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ import itertools
 import math
 import sys
 import time
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import MixedGraph, Record, _set, format_edge_list, isomorphism_classes
@@ -208,9 +214,13 @@ def lift_search(
     kept are accepted assignments at the best order of the smallest
     canonical texts, one per text, ranked by ``_text_key`` without a lift
     being built; once the cap is full, a candidate is dropped at its first
-    fibre "E" block above the worst kept key's.  Only a kept witness is
-    built, once the search is over, by ``families.lift``.  Reports are
-    byte-identical across reruns with the same arguments.
+    fibre "E" block above the worst kept key's.  That block depends only
+    on the voltages of the fibre's edge steps upward, so each fibre keeps
+    its verdicts (below, equal, above) by those voltages, for one q and
+    until the worst key changes, and a block is made only on a miss.  Only
+    a kept witness is built, once the search is over, by
+    ``families.lift``.  Reports are byte-identical across reruns with the
+    same arguments.
 
     Raises UnsupportedParameterError unless k, the budget and every group
     order are ints >= 1, the seed is an int and no cover has more than
@@ -252,16 +262,31 @@ def lift_search(
         if order > bound or (best_order is not None and order < best_order):
             continue  # nothing at this order can be kept
         heads: _Heads = {}
+        # per fibre b with an "E" block: a getter of the voltages of b's
+        # edge steps upward, the only ones the block reads, and a table from
+        # them to the sign of the block against worst[b], emptied when worst
+        # changes
+        fibres = []
+        for b, steps in enumerate(template.steps_from):
+            darts = [d for head, d, _ in map(template.steps.__getitem__, steps)
+                     if d < len(template.edge_darts) and head > b]
+            if darts:
+                fibres.append((b, itemgetter(*darts), {}))
         for voltages in _accepted(template, k, q, count, seed):
             if best_order != order:
                 best_order, kept, worst = order, {}, None
             if worst is not None:
                 # the "E" blocks lead the key: a larger one cannot enter
-                for b in range(template.n):
-                    edges = _block(template, q, voltages, b, heads)[0]
-                    if edges != worst[b]:
+                sign = 0
+                for b, darts, signs in fibres:
+                    at = darts(voltages)
+                    sign = signs.get(at)
+                    if sign is None:
+                        edges = _block(template, q, voltages, b, heads)[0]
+                        sign = signs[at] = (edges > worst[b]) - (edges < worst[b])
+                    if sign:
                         break
-                if edges > worst[b]:
+                if sign > 0:
                     continue
             key = _text_key(template, q, voltages, heads)
             if key in kept or (worst is not None and key > worst):
@@ -271,6 +296,8 @@ def lift_search(
             kept[key] = (q, voltages)
             if len(kept) == _WITNESS_CAP:
                 worst = max(kept)
+                for _, _, signs in fibres:
+                    signs.clear()
     witnesses = isomorphism_classes([lift(template, q, v) for q, v in kept.values()])
     return SearchReport(
         kind="lift",

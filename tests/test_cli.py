@@ -327,6 +327,24 @@ def test_verify_suites_pass(capsys, suite):
     assert "PASS" in out
 
 
+def test_verify_tables34_fails_where_one_length_is_wrong(monkeypatch, capsys):
+    # the walk endpoint formula of length 6 is off by one: it is the last
+    # length checked for m=40 (6 steps) and is read twice for m=80 (7 steps)
+    real = cli.path_endpoint_formula
+
+    def path_endpoint_formula(kind, n, i, m):
+        return (real(kind, n, i, m) + (n == 6)) % m
+
+    monkeypatch.setattr(cli, "path_endpoint_formula", path_endpoint_formula)
+    code, out, err = run_cli(capsys, "verify", "tables34")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "FAIL  walk endpoint formulas hold for m=40",
+        "FAIL  walk endpoint formulas hold for m=80",
+    ]
+
+
 def test_verify_crm_table6_reports_a_failing_row(monkeypatch, capsys):
     real = families.crm_optimal
 

@@ -593,6 +593,9 @@ PARALLEL = LiftTemplate(2, ((0, 1),), ((0, 1), (1, 0), (1, 0)))
 FOREST = LiftTemplate(4, ((0, 1), (2, 3)), ((0, 1), (1, 0), (2, 3), (3, 2)))
 # one vertex: the tree is empty and every dart is in the cotree
 POINT = LiftTemplate(1, (), ((0, 0), (0, 0)))
+# fibre 0 has no edge step to a fibre above it, so its "E" block is empty
+# and fibre 1's decides the early test of lift_search's ranking
+UPPER_EDGE = LiftTemplate(3, ((1, 2),), ((0, 1), (1, 0)))
 # budgets below q^|cotree|, so that only the classes the samples meet are
 # judged: an accepted class (best order 18), none accepted, an even q on a
 # bipartite base (24), and an even q on a base that is not bipartite (24)
@@ -623,6 +626,11 @@ REFERENCE_CASES = (
        (5, two_vertex_template(), [9, 5], 9**3 + 50, 2),
        (5, two_vertex_template(), [5, 9, 7], 5**3 + 300, 3)]
     + MEMO_CASES
+    # fibre 1's verdicts decide the early test once the cap fills (k = 6)
+    + [(k, UPPER_EDGE, range(1, 9), 10**4, 1) for k in (4, 6)]
+    # sampled with accepted classes, so the worst kept key keeps moving and
+    # the verdicts are emptied often
+    + [(7, four_vertex_template(), [7], 4375, seed) for seed in (1, 2)]
 )
 
 
@@ -657,6 +665,37 @@ def test_lift_search_matches_the_per_candidate_reference(k, template, q_range, b
     report = lift_search(k, template, q_range, budget, seed)
     expected = reference_lift_search(k, template, q_range, budget, seed)
     assert report.serialize() == expected.serialize()
+
+
+@pytest.mark.parametrize("seed", [1, 41])
+def test_lift_search_ranks_the_sweep_through_the_verdict_tables(monkeypatch, seed):
+    # the lift-sweep search: every full key is still made (237), but the
+    # early test reads a fibre's "E" block only on a verdict table's miss,
+    # where one _block call per accepted member made 7,895 calls
+    calls = {"block": 0, "text_key": 0}
+    inside = []
+
+    def recording_block(*args):
+        if not inside:
+            calls["block"] += 1
+        return block(*args)
+
+    def recording_text_key(*args):
+        calls["text_key"] += 1
+        inside.append(True)
+        try:
+            return text_key(*args)
+        finally:
+            inside.pop()
+
+    block, text_key = search._block, search._text_key
+    monkeypatch.setattr(search, "_block", recording_block)
+    monkeypatch.setattr(search, "_text_key", recording_text_key)
+    report = lift_search(6, four_vertex_template(), [5, 7], 20000, seed)
+    monkeypatch.undo()
+    assert report.best_order == 20
+    assert calls["text_key"] == 237
+    assert calls["block"] <= 400
 
 
 @pytest.mark.parametrize(
@@ -848,6 +887,33 @@ def test_up_front_pass_judges_one_class_per_unit_orbit(monkeypatch, template, q)
     monkeypatch.undo()
     orbits = least_of_each_unit_orbit(q, len(template.cotree))
     assert calls == [tree_zero_member(template, c) for c in orbits]
+
+
+@st.composite
+def agreeing_assignments(draw):
+    """A template, q <= 12, a fibre b and two assignments over Z_q that
+    agree on the edge darts from b to a fibre above b, and may differ on
+    every other dart."""
+    template = draw(st.sampled_from(ACCEPTED_TEMPLATES + (UPPER_EDGE,)))
+    q = draw(st.integers(1, 12))
+    b = draw(st.integers(0, template.n - 1))
+    read = {d for d, (u, v) in enumerate(template.edge_darts)
+            if (u == b and v > b) or (v == b and u > b)}
+    voltages = st.lists(st.integers(0, q - 1), min_size=template.dart_count,
+                        max_size=template.dart_count)
+    first, second = draw(voltages), draw(voltages)
+    second = [first[d] if d in read else g for d, g in enumerate(second)]
+    return template, q, b, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(agreeing_assignments())
+def test_an_edge_block_depends_only_on_the_upward_edge_voltages(arguments):
+    # lift_search keeps one verdict per fibre for the voltages of these
+    # darts alone, so the fibre's "E" block must be a function of them
+    template, q, b, first, second = arguments
+    assert (search._block(template, q, first, b, {})[0]
+            == search._block(template, q, second, b, {})[0])
 
 
 ACCEPTED_TEMPLATE_NAMES = ("triangle", "parallel", "cdrm-loops", "forest", "point", "two", "four")
