@@ -350,7 +350,8 @@ def isomorphism_classes(graphs: Sequence[MixedGraph]) -> list[MixedGraph]:
     each class becomes its representative.  A graph with out-degree at most
     one everywhere in which some vertex reaches every vertex, such as every
     search witness of finite diameter, has an exact canonical form
-    (:func:`_canonical_form`), and such graphs are classed by it alone.
+    (:func:`_canonical_form`, walked from the roots of one cell of a
+    vertex invariant), and such graphs are classed by it alone.
     Every other graph, such as ``bd_digraph`` (out-degree 2) or one in which
     no vertex reaches all the others, gets per-vertex invariant signatures,
     computed once, and is bucketed by (order, #edges, #arcs, sorted
@@ -390,17 +391,23 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
     individualised vertex makes the partition discrete (McKay and Piperno,
     "Practical graph isomorphism, II", J. Symbolic Comput. 2014).  Vertex i
     in visit order is encoded as its (partner number, head number) pair,
-    -1 for none, packed into one int that sorts as the pair does.  The form
-    is the least encoding over the roots whose walk numbers all n vertices;
-    a root's walk stops once its prefix exceeds the least encoding so far.
-    Two graphs of the domain get equal forms exactly when they are
-    isomorphic.  Whether some root reaches every vertex is
-    isomorphism-invariant, and a walk is cut short only when its root could
-    not give the least encoding, so isomorphic graphs never take different
-    paths.  When the first walk, from vertex 0, misses a vertex,
-    :func:`_has_root` decides in O(n) whether any vertex reaches them all,
-    so a graph outside the domain is turned away without a walk from every
-    vertex.  O(n^2) time and no recursion.
+    -1 for none, packed into one int that sorts as the pair does
+    (:func:`_walk`).  As that paper picks a target cell, the roots are one
+    cell of a vertex invariant, the lengths of v's cycles under v -> head
+    and under v -> head of partner (:func:`_cycle_lengths`): the cell of
+    fewest vertices, of least lengths on a tie.  The form is the least
+    encoding over the cell's roots whose walk numbers all n vertices, or,
+    if none does, over all n roots; a walk stops once its prefix exceeds
+    the least encoding so far.  Two graphs of the domain get equal forms
+    exactly when they are isomorphic: an encoding determines its graph,
+    and an isomorphism keeps the invariant, whether some root reaches
+    every vertex, and which walks could give the least encoding, so
+    isomorphic graphs take the same path.  An automorphism keeps the
+    invariant too, so |Aut| is the number of walked roots of least
+    encoding.  When the first walk misses a vertex, :func:`_has_root`
+    decides in O(n) whether any vertex reaches them all, so a graph
+    outside the domain is turned away without a walk from every root.
+    O(n^2) time and no recursion.
     """
     n = g.n
     heads: list[Optional[int]] = []
@@ -409,37 +416,78 @@ def _canonical_form(g: MixedGraph) -> Optional[tuple[int, ...]]:
             return None
         heads.append(arcs[0] if arcs else None)
     partner = g.edge_partner
-    width = n + 1
+    cells: dict[tuple[int, int], list[int]] = {}
+    across = [None if w is None else heads[w] for w in partner]
+    for v, lengths in enumerate(zip(_cycle_lengths(heads), _cycle_lengths(across))):
+        cells.setdefault(lengths, []).append(v)
+    if not cells:
+        return None
+    cell = min(cells.items(), key=lambda item: (len(item[1]), item[0]))[1]
     best: list[int] = []
-    for root in range(n):
-        number = [-1] * n
-        number[root] = 0
-        order = [root]
-        code: list[int] = []
-        tied = bool(best)  # equal to best so far; False once below it
-        for i, v in enumerate(order):  # order grows as vertices are numbered
-            entry = 0
-            for w in (partner[v], heads[v]):
-                x = 0
-                if w is not None:
-                    x = number[w]
-                    if x < 0:
-                        x = number[w] = len(order)
-                        order.append(w)
-                    x += 1
-                entry = entry * width + x
-            if tied:
-                least = best[i]
-                if entry > least:
-                    break
-                tied = entry == least
-            code.append(entry)
-        else:
-            if len(order) == n and not tied:
-                best = code
-        if root == 0 and not best and not _has_root(partner, heads):
-            return None
-    return tuple(best) if best else None
+    for roots in (cell, range(n)):
+        for root in roots:
+            best = _walk(partner, heads, root, best)
+            if root == cell[0] and not best and not _has_root(partner, heads):
+                return None
+        if best:
+            return tuple(best)
+    return None
+
+
+def _walk(
+    partner: Sequence[Optional[int]], heads: Sequence[Optional[int]], root: int,
+    best: list[int],
+) -> list[int]:
+    """The encoding of the walk of :func:`_canonical_form` from root if it
+    numbers every vertex and sorts below best (or best is empty), else
+    best.  The walk stops once its prefix exceeds best."""
+    n = len(heads)
+    width = n + 1
+    number = [-1] * n
+    number[root] = 0
+    order = [root]
+    code: list[int] = []
+    tied = bool(best)  # equal to best so far; False once below it
+    for i, v in enumerate(order):  # order grows as vertices are numbered
+        entry = 0
+        for w in (partner[v], heads[v]):
+            x = 0
+            if w is not None:
+                x = number[w]
+                if x < 0:
+                    x = number[w] = len(order)
+                    order.append(w)
+                x += 1
+            entry = entry * width + x
+        if tied:
+            least = best[i]
+            if entry > least:
+                return best
+            tied = entry == least
+        code.append(entry)
+    return code if len(order) == n and not tied else best
+
+
+def _cycle_lengths(step: Sequence[Optional[int]]) -> list[int]:
+    """The length of the cycle of v -> step[v] through each vertex v, or 0
+    for a vertex on none (its path ends at None or runs into a cycle).
+    Each vertex is entered once: O(n) time."""
+    length = [0] * len(step)
+    walk = [-1] * len(step)  # the start of the walk that entered v
+    for start in range(len(step)):
+        if walk[start] >= 0:
+            continue
+        path = []
+        v = start
+        while v is not None and walk[v] < 0:
+            walk[v] = start
+            path.append(v)
+            v = step[v]
+        if v is not None and walk[v] == start:  # the walk closed a cycle
+            cycle = path[path.index(v):]
+            for w in cycle:
+                length[w] = len(cycle)
+    return length
 
 
 def _has_root(partner: Sequence[Optional[int]], heads: Sequence[Optional[int]]) -> bool:

@@ -12,14 +12,16 @@ gives both, and ``lift_diameter`` runs the kernel on one vertex per fibre
 of a voltage graph's cover.  Unreachable pairs are marked with
 ``UNREACHABLE`` in distance rows; aggregate quantities over unreachable
 pairs become ``INFINITE`` so callers can filter candidates cheaply
-instead of handling errors.
+instead of handling errors.  A search asks only whether a diameter is at
+most k: with ``limit=k`` the kernel stops after round k, and a diameter
+past it is INFINITE as well.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from .core import MixedGraph, Record, _set, ball_rounds, breadth_first_forest
 from .errors import MalformedBaseError, check_int, require
@@ -110,19 +112,23 @@ def distance_matrix(g: MixedGraph) -> DistanceMatrix:
     )
 
 
-def diameter(g: MixedGraph) -> Eccentricity:
-    """Diameter of g; INFINITE when some ordered pair is unreachable.
+def diameter(g: MixedGraph, limit: Optional[int] = None) -> Eccentricity:
+    """Diameter of g; INFINITE when some ordered pair is unreachable, or
+    when it exceeds ``limit``, an int >= 0 if given.
 
     This is the last round of the ball kernel, stopping at the first ball
-    that stops growing before it is full."""
-    return _last_round(ball_rounds(g.successors()), g.n, (1 << g.n) - 1)
+    that stops growing before it is full, or once round ``limit`` leaves a
+    ball unfilled, so asking whether the diameter is <= k costs at most
+    k + 1 rounds.  Raises UnsupportedParameterError for a bad limit."""
+    return _last_round(ball_rounds(g.successors()), g.n, (1 << g.n) - 1, limit)
 
 
 def lift_diameter(
-    template: "LiftTemplate", q: int, voltages: Sequence[int]
+    template: "LiftTemplate", q: int, voltages: Sequence[int], limit: Optional[int] = None
 ) -> Eccentricity:
     """Diameter of the associated digraph of the cover of the voltage graph
-    (template, q, voltages), or INFINITE, without building the cover.
+    (template, q, voltages), or INFINITE, without building the cover.  Past
+    ``limit``, as for ``diameter``, it is INFINITE too.
 
     The fibres' shifts are automorphisms, so this is the largest
     eccentricity of the n representatives (b, 0), whose balls the kernel
@@ -144,20 +150,25 @@ def lift_diameter(
         check_int(voltage, "voltage", error=MalformedBaseError)
     views = [(head, sign * voltages[i] % q * n) for head, i, sign in template.steps]
     rounds = ball_rounds(template.steps_from, q, views)
-    return _last_round(rounds, n, (1 << n * q) - 1)
+    return _last_round(rounds, n, (1 << n * q) - 1, limit)
 
 
 def _last_round(
-    rounds: Iterator[tuple[list[int], list[int]]], count: int, full: int
+    rounds: Iterator[tuple[list[int], list[int]]], count: int, full: int,
+    limit: Optional[int] = None,
 ) -> Eccentricity:
     """The last round of the kernel over ``count`` balls, or INFINITE as
-    soon as a ball stops growing before it is ``full``."""
+    soon as a ball stops growing before it is ``full``, or is not full
+    after round ``limit`` (an int >= 0, or None for no limit)."""
+    limit = INFINITE if limit is None else check_int(limit, "diameter limit", 0)
     pending = count  # balls not yet full; each must grow in every round
     d = 0
     for d, (balls, grown) in enumerate(rounds):
         if len(grown) < pending:
             return INFINITE
         pending = count - balls.count(full)
+        if pending and d >= limit:
+            return INFINITE
     return INFINITE if pending else d
 
 

@@ -11,10 +11,12 @@ into s q s^-1, an isomorphic graph.  The member kept is the one whose arc
 text sorts first, so every isomorphism class keeps its member of least
 canonical text, and the witnesses are those of the unpruned search.  The
 orbit check prunes partial permutations during the backtracking that
-places q, so a subtree holding no representative is never entered.  The
-general mode prunes nothing.  Candidate evaluation is pure, and all
-reports merge in a deterministic total order, so results do not depend on
-evaluation order.
+places q, so a subtree holding no representative is never entered.  A
+candidate is judged as its pair (p, q), on the successor lists of its
+graph with the distance kernel stopped after round k (``_within``), and
+only an accepted one is built.  The general mode prunes nothing.
+Candidate evaluation is pure, and all reports merge in a deterministic
+total order, so results do not depend on evaluation order.
 
 The lift search takes its base shape as a ``families.LiftTemplate``, the
 one description of a base graph: with a group order q and voltages it is
@@ -61,10 +63,10 @@ import time
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import MixedGraph, Record, _set, format_edge_list, isomorphism_classes
+from .core import MixedGraph, Record, _set, ball_rounds, format_edge_list, isomorphism_classes
 from .errors import check_int, require
 from .families import CdrmConvention, LiftTemplate, cdrm_voltage_graph, lift
-from .metrics import diameter, lift_diameter
+from .metrics import _last_round, diameter, lift_diameter
 
 _WITNESS_CAP = 8
 _MASK64 = (1 << 64) - 1
@@ -131,14 +133,19 @@ def exhaustive_max_order(
 
     In totally regular mode edges form a perfect matching and arcs a
     permutation crossing the bipartition, and the candidates are the
-    graphs ``_totally_regular_candidates`` keeps, one per orbit of the
-    centraliser of the class-0 permutation; the general mode (any degrees
-    <= 1) is far larger and only sensible for tiny n.  ``candidates``
-    counts the graphs evaluated, and a budget caps it; hitting the budget
-    clears the exhaustive flag.  The budget does not cap the set-up for
-    each cycle type of p: its centraliser C(p) is listed in full, with two
-    lists of length h = n/2 per element, before the first candidate, so
-    O(|C(p)| h) time and memory (|C(p)| = h for the first, single-cycle p).
+    pairs (p, q) ``_totally_regular_candidates`` keeps, one per orbit of
+    the centraliser of the class-0 permutation p.  Each is judged on its
+    successor lists up to round k (``_within``), and a graph is built
+    (``_matching_graph``) only for an accepted one.  The general mode (any
+    degrees <= 1) is far larger and only sensible for tiny n; it builds
+    each graph and asks ``diameter(g, limit=k)``.  Either way the search
+    asks only whether the diameter is <= k, not what it is.
+    ``candidates`` counts the candidates evaluated, and a budget caps it;
+    hitting the budget clears the exhaustive flag.  The budget does not
+    cap the set-up for each cycle type of p: its centraliser C(p) is
+    listed in full, with two lists of length h = n/2 per element, before
+    the first candidate, so O(|C(p)| h) time and memory (|C(p)| = h for
+    the first, single-cycle p).
     Raises UnsupportedParameterError unless k is an int >= 1, the order cap
     an even int >= 2 and the budget None or an int >= 1, before any
     candidate is evaluated.
@@ -154,19 +161,23 @@ def exhaustive_max_order(
     best_order: Optional[int] = None
     witnesses: list[MixedGraph] = []
     for n in range(n_max, 1, -2):
+        h = n // 2
         found: list[MixedGraph] = []
         generator = (
             _totally_regular_candidates(n)
             if totally_regular_only
             else _general_candidates(n)
         )
-        for g in generator:
+        for candidate in generator:
             if budget is not None and candidates >= budget:
                 exhausted_budget = True
                 break
             candidates += 1
-            if diameter(g) <= k:
-                found.append(g)
+            if totally_regular_only:
+                if _within(h, *candidate, k):
+                    found.append(_matching_graph(h, *candidate))
+            elif diameter(candidate, limit=k) <= k:
+                found.append(candidate)
         if found:
             best_order = n
             witnesses = isomorphism_classes(found)
@@ -204,13 +215,13 @@ def lift_search(
     once (``_accepted``), on its tree-zero member: well formed, bipartite
     by the class's parity rule (``LiftTemplate.lifts_bipartite``, exact for
     every lift of finite diameter), and of diameter <= k by
-    ``metrics.lift_diameter``.  A q that takes at least q^|cotree|
-    assignments judges every class before any candidate, so that a q with
-    no accepted class draws no sample; a smaller count judges the classes
-    its samples meet.  A q of order n*q below the best order found, or
-    above 1 + D + ... + D^k, D the most steps out of a base vertex, which
-    bounds the order of a lift of diameter <= k, is only counted.
-    The witnesses
+    ``metrics.lift_diameter`` with ``limit=k``.  A q that takes at least
+    q^|cotree| assignments judges every class before any candidate, so
+    that a q with no accepted class draws no sample; a smaller count
+    judges the classes its samples meet.  A q of order n*q below the best
+    order found, or above 1 + D + ... + D^k, D the most steps out of a
+    base vertex, which bounds the order of a lift of diameter <= k, is
+    only counted.  The witnesses
     kept are accepted assignments at the best order of the smallest
     canonical texts, one per text, ranked by ``_text_key`` without a lift
     being built; once the cap is full, a candidate is dropped at its first
@@ -346,7 +357,7 @@ def _accepted(
             verdict = (
                 template.well_formed(q, voltages)
                 and template.lifts_bipartite(q, voltage_class)
-                and lift_diameter(template, q, voltages) <= k
+                and lift_diameter(template, q, voltages, limit=k) <= k
             )
             for u in units:
                 verdicts[tuple(u * g % q for g in voltage_class)] = verdict
@@ -440,19 +451,27 @@ def cdrm_scan(m: int) -> tuple[int, CdrmConvention, float]:
 # Candidate enumeration
 # ---------------------------------------------------------------------------
 
-def _totally_regular_candidates(n: int) -> Iterator[MixedGraph]:
+def _totally_regular_candidates(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The totally regular bipartite unit-degree graphs on n vertices with
-    the matching normalized, the class-0 arc permutation p canonical per
-    cycle type and the class-1 permutation one per orbit of the
-    centraliser of p (``_class1_representatives``, which prunes the other
-    members while it generates q, not after).  Every isomorphism class
-    appears, with its member of least canonical text.  An exhaustive
-    search's ``candidates=`` counts these graphs and its budget bounds
-    them."""
-    h = n // 2
-    for p in _derangement_type_representatives(h):
+    the matching normalized, as the pairs (p, q) of ``_matching_graph``:
+    the class-0 arc permutation p canonical per cycle type and the class-1
+    permutation q one per orbit of the centraliser of p
+    (``_class1_representatives``, which prunes the other members while it
+    generates q, not after).  Every isomorphism class appears, with its
+    member of least canonical text.  An exhaustive search's
+    ``candidates=`` counts these pairs and its budget bounds them."""
+    for p in _derangement_type_representatives(n // 2):
         for q in _class1_representatives(p):
-            yield _matching_graph(h, p, q)
+            yield p, q
+
+
+def _within(h: int, p: Sequence[int], q: Sequence[int], k: int) -> bool:
+    """Whether ``_matching_graph(h, p, q)`` has diameter <= k, judged on its
+    successor lists, with no graph built: the kernel stops after round k."""
+    succ: list[list[int]] = []
+    for j in range(h):
+        succ += [2 * p[j] + 1, 2 * j + 1], [2 * q[j], 2 * j]
+    return _last_round(ball_rounds(succ), 2 * h, (1 << 2 * h) - 1, k) <= k
 
 
 def _class1_representatives(p: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -33,6 +33,7 @@ from mixedgraphs import (
     crm_optimal,
     crm_upper,
     crm_voltage_graph,
+    diameter,
     distances_from,
     double_arc_pattern,
     doubling_parameter,
@@ -150,6 +151,8 @@ INT_PARAMETERS = [
     (distances_from, (bdm(5), 0), (1,), UnsupportedParameterError),
     (lift_diameter, (T, 5, VOLTAGES), (1,), MalformedBaseError),
     (lift_diameter, (T, 5, VOLTAGES), (2, 5), MalformedBaseError),
+    (lift_diameter, (T, 5, VOLTAGES, 4), (3,), UnsupportedParameterError),
+    (diameter, (bdm(5), 4), (1,), UnsupportedParameterError),
     (exhaustive_max_order, (3, 8, True, 10), (0,), UnsupportedParameterError),
     (exhaustive_max_order, (3, 8, True, 10), (1,), UnsupportedParameterError),
     (exhaustive_max_order, (3, 8, True, 10), (3,), UnsupportedParameterError),

@@ -165,3 +165,11 @@ def test_lift_diameter_rejects_bad_voltage_graphs():
     for q, voltages in [(0, (0,)), (-3, (1,)), (5, ()), (5, (1, 1))]:
         with pytest.raises(MalformedBaseError):
             lift_diameter(cycle, q, voltages)
+
+
+def test_diameter_limit_below_zero_is_refused():
+    # the limit's other bad values are in test_errors' table
+    with pytest.raises(UnsupportedParameterError):
+        diameter(crm(10, 3), limit=-1)
+    with pytest.raises(UnsupportedParameterError):
+        lift_diameter(four_vertex_template(), 5, (0,) * 6, limit=-1)

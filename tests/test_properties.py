@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 from collections import Counter, deque
 
 import pytest
@@ -24,6 +25,7 @@ from mixedgraphs import (
     eccentricity_report,
     format_edge_list,
     four_vertex_template,
+    two_vertex_template,
     isomorphism_classes,
     lift,
     lift_diameter,
@@ -316,6 +318,16 @@ def test_has_root_matches_brute_force(g):
     assert _has_root(g.edge_partner, heads) == expected
 
 
+@example(MixedGraph.build(0), 0)
+@example(MixedGraph.build(1), 0)
+@example(MixedGraph.build(2, edges=[(0, 1)]), 0)
+@example(MixedGraph.build(3, arcs=[(0, 1), (1, 2)]), 5)  # no vertex reaches 0
+@given(mixed_graphs(), st.integers(min_value=0, max_value=10))
+def test_diameter_limit_is_the_diameter_up_to_it(g, k):
+    d = diameter(g)
+    assert diameter(g, limit=k) == (d if d <= k else INFINITE)
+
+
 @given(mixed_graphs())
 def test_distances_from_is_a_row_of_the_distance_matrix(g):
     rows = distance_matrix(g).rows
@@ -511,14 +523,19 @@ def reference_matching_graph(h, p, q) -> MixedGraph:
     return MixedGraph.build(2 * h, edges=edges, arcs=arcs)
 
 
-def reference_totally_regular_candidates(n):
-    """Reference: the unpruned generator, every class-1 permutation of
-    every canonical class-0 permutation, without the centraliser pruning
-    of ``search._totally_regular_candidates``."""
-    h = n // 2
-    for p in _derangement_type_representatives(h):
+def reference_totally_regular_pairs(n):
+    """Reference: the unpruned generator, every class-1 permutation q of
+    every canonical class-0 permutation p, as the pairs (p, q), without
+    the centraliser pruning of ``search._totally_regular_candidates``."""
+    for p in _derangement_type_representatives(n // 2):
         for q in reference_class1_permutations(p):
-            yield reference_matching_graph(h, p, q)
+            yield p, q
+
+
+def reference_totally_regular_candidates(n):
+    """Reference: the graphs of ``reference_totally_regular_pairs``."""
+    for p, q in reference_totally_regular_pairs(n):
+        yield reference_matching_graph(n // 2, p, q)
 
 
 # search candidates of finite diameter, the form's main inputs
@@ -585,6 +602,76 @@ def test_reaching_root_without_strong_connectivity_takes_one_path():
     forms = {_canonical_form(h) for h in relabellings}
     assert len(forms) == 1 and None not in forms
     assert isomorphism_classes(relabellings) == [min(relabellings, key=format_edge_list)]
+
+
+def reference_canonical_form(g: MixedGraph):
+    """Reference: the form walked from every root, the least encoding over
+    the roots whose walk numbers all n vertices, or None (the form before
+    it walked from one invariant cell of roots)."""
+    n = g.n
+    if any(len(arcs) > 1 for arcs in g.out_arcs):
+        return None
+    heads = [arcs[0] if arcs else None for arcs in g.out_arcs]
+    codes = []
+    for root in range(n):
+        number = {root: 0}
+        order = [root]
+        code = []
+        for v in order:
+            pair = []
+            for w in (g.edge_partner[v], heads[v]):
+                if w is not None and w not in number:
+                    number[w] = len(order)
+                    order.append(w)
+                pair.append(-1 if w is None else number[w])
+            code.append((pair[0] + 1) * (n + 1) + pair[1] + 1)
+        if len(order) == n:
+            codes.append(tuple(code))
+    return min(codes, default=None)
+
+
+@st.composite
+def unit_graphs(draw) -> MixedGraph:
+    """Graphs with out-degree and undirected degree at most one: random
+    ones, most with no vertex reaching all, or ones of the form's domain."""
+    return draw(st.one_of(mixed_graphs(), permutation_graphs(), strongly_connected_graphs()))
+
+
+# the 3-cycle 5 -> 6 -> 7 -> 5 is the least cell, and reaches no vertex of
+# the path 0 -> ... -> 4 -> 5 into it: only the walk from 0 numbers all
+FALLBACK = MixedGraph.build(8, arcs=[(v, v + 1) for v in range(7)] + [(7, 5)])
+
+
+@example([MixedGraph.build(0), MixedGraph.build(1), MixedGraph.build(2, edges=[(0, 1)])], random.Random(0))
+@example([FALLBACK, FALLBACK.relabelled([7, 6, 5, 4, 3, 2, 1, 0])], random.Random(0))
+@settings(max_examples=300)
+@given(st.lists(unit_graphs(), min_size=1, max_size=5), st.randoms())
+def test_canonical_form_classes_as_the_all_roots_reference(graphs, rng):
+    # each graph and a relabelled copy: the forms stay, and they part the
+    # graphs as the reference's forms do
+    for g in list(graphs):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabelled(perm))
+    forms = [_canonical_form(g) for g in graphs]
+    references = [reference_canonical_form(g) for g in graphs]
+    half = len(graphs) // 2
+    assert forms[half:] == forms[:half]
+    for (f, r), (f2, r2) in itertools.combinations(zip(forms, references), 2):
+        assert (f is None) == (r is None)
+        assert (f is not None and f == f2) == (r is not None and r == r2)
+
+
+def test_canonical_form_falls_back_to_every_root():
+    # no root of the least cell reaches every vertex, so the form is the
+    # least over all roots, the reference's, whatever the labels
+    assert UNREACHABLE in distances_from(FALLBACK, 5)
+    form = reference_canonical_form(FALLBACK)
+    assert form is not None
+    for seed in range(20):
+        perm = list(range(8))
+        random.Random(seed).shuffle(perm)
+        assert _canonical_form(FALLBACK.relabelled(perm)) == form
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +894,27 @@ def test_lift_diameter_matches_the_built_cover(voltage_graph):
     g = voltage_graph[0].cover(*voltage_graph[1:])
     if g is not None:
         assert lift_diameter(*voltage_graph) == diameter(g)
+
+
+@st.composite
+def template_voltage_graphs(draw, q_max=8):
+    """A voltage graph on the two-vertex or the four-vertex template, the
+    bases the lift search scans, with q at most q_max."""
+    template = draw(st.sampled_from([two_vertex_template(), four_vertex_template()]))
+    q = draw(st.integers(min_value=1, max_value=q_max))
+    voltages = draw(
+        st.lists(st.integers(0, q - 1), min_size=template.dart_count, max_size=template.dart_count)
+    )
+    return template, q, tuple(voltages)
+
+
+@example((four_vertex_template(), 5, (0, 0, 0, 1, 2, 3)), 0)
+@example((two_vertex_template(), 1, (0, 0, 0)), 0)
+@settings(max_examples=300)
+@given(template_voltage_graphs() | voltage_bases(), st.integers(min_value=0, max_value=12))
+def test_lift_diameter_limit_is_the_diameter_up_to_it(voltage_graph, k):
+    d = lift_diameter(*voltage_graph)
+    assert lift_diameter(*voltage_graph, limit=k) == (d if d <= k else INFINITE)
 
 
 def assert_lifts_bipartite_matches_the_cover(template, q, voltages) -> None:

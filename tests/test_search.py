@@ -28,7 +28,7 @@ from mixedgraphs import (
     format_edge_list,
     validate_and_profile,
 )
-from mixedgraphs import LiftTemplate, MixedGraph, search
+from mixedgraphs import LiftTemplate, MixedGraph, core, search
 from mixedgraphs.core import _iso_signatures
 from mixedgraphs.errors import UnsupportedParameterError
 from mixedgraphs.search import (
@@ -49,6 +49,7 @@ from test_properties import (
     reference_matching_graph,
     reference_sample_voltages,
     reference_totally_regular_candidates,
+    reference_totally_regular_pairs,
     reference_voltage_class,
 )
 
@@ -248,7 +249,7 @@ def without_candidates(text):
 def test_pruned_search_reports_as_the_reference(monkeypatch, k, n_max):
     ours = exhaustive_max_order(k, n_max).serialize()
     monkeypatch.setattr(
-        search, "_totally_regular_candidates", reference_totally_regular_candidates
+        search, "_totally_regular_candidates", reference_totally_regular_pairs
     )
     reference = exhaustive_max_order(k, n_max).serialize()
     assert without_candidates(ours) == without_candidates(reference)
@@ -266,6 +267,43 @@ def test_witness_block_is_pinned(k, n_max, candidates, digest):
     assert report.candidates == candidates
     block = report.serialize().split("\n", 1)[1]
     assert hashlib.sha256(block.encode()).hexdigest() == digest
+
+
+def test_bounded_judge_matches_the_diameter_of_the_built_graph():
+    # every candidate pair at n <= 16 for k = 3..6, and at n = 18 for k = 5
+    count = 0
+    for n, ks in [*((n, range(3, 7)) for n in range(2, 17, 2)), (18, [5])]:
+        h = n // 2
+        for p, q in search._totally_regular_candidates(n):
+            d = diameter(_matching_graph(h, p, q))
+            for k in ks:
+                assert search._within(h, p, q, k) == (d <= k), (p, q, k)
+            count += 1
+    assert count == 1 + 4 + 7 + 49 + 221 + 1854 + 16085  # n = 6, ..., 18
+
+
+def test_exhaustive_builds_and_walks_only_what_it_keeps(monkeypatch):
+    # at k = 5, n = 14: a graph only for the 95 accepted of the 221
+    # candidates, and the witnesses' canonical forms walked from one cell
+    # of roots each, not from all 14 (1,330 walks)
+    built, walks = [], []
+
+    def recording_matching_graph(h, p, q):
+        built.append((p, q))
+        return matching_graph(h, p, q)
+
+    def recording_walk(partner, heads, root, best):
+        walks.append(root)
+        return walk(partner, heads, root, best)
+
+    matching_graph, walk = search._matching_graph, core._walk
+    monkeypatch.setattr(search, "_matching_graph", recording_matching_graph)
+    monkeypatch.setattr(core, "_walk", recording_walk)
+    report = exhaustive_max_order(5, 14)
+    monkeypatch.undo()
+    assert report.candidates == 221 and len(report.witnesses) == 54
+    assert len(built) == len(set(built)) == 95
+    assert 95 <= len(walks) <= 400
 
 
 def test_matching_graph_equals_the_built_graph():
@@ -297,7 +335,7 @@ def test_class1_generation_follows_the_orbit_check_order():
 
 
 def test_exhaustive_rejects_bad_parameters(monkeypatch):
-    monkeypatch.setattr(search, "diameter", refuse_evaluation)
+    monkeypatch.setattr(search, "_within", refuse_evaluation)
     for k, n_max, budget in ((0, 8, None), (3, 7, None), (3, 8, 0), (3, 8, -5)):
         with pytest.raises(UnsupportedParameterError):
             exhaustive_max_order(k, n_max, budget=budget)
@@ -472,8 +510,8 @@ def test_lift_search_builds_only_accepted_lifts_at_the_best_order(monkeypatch):
         built.append(format_edge_list(g))
         return g
 
-    def recording_lift_diameter(template, q, voltages):
-        d = lift_diameter(template, q, voltages)
+    def recording_lift_diameter(template, q, voltages, limit=None):
+        d = lift_diameter(template, q, voltages, limit)
         judged.append((q, tuple(voltages)))
         return d
 
@@ -937,9 +975,9 @@ def test_accepted_judges_each_class_once_on_its_tree_zero_member(
         well_formed_calls.append(tuple(voltages))
         return well_formed(template, q, voltages)
 
-    def recording_lift_diameter(template, q, voltages):
+    def recording_lift_diameter(template, q, voltages, limit=None):
         diameter_calls.append(tuple(voltages))
-        return lift_diameter(template, q, voltages)
+        return lift_diameter(template, q, voltages, limit)
 
     well_formed = LiftTemplate.well_formed
     monkeypatch.setattr(LiftTemplate, "well_formed", recording_well_formed)
@@ -976,7 +1014,7 @@ def test_lift_search_matches_the_reference_when_every_diameter_passes(
     # At k = 5 no order here (16 at most) passes the bound on the order of
     # a lift of diameter <= k: 1 + 2 + ... + 2^5, two steps out of each
     # base vertex
-    monkeypatch.setattr(search, "lift_diameter", lambda *args: 1)
+    monkeypatch.setattr(search, "lift_diameter", lambda *args, **kwargs: 1)
     report = lift_search(5, template, q_range, budget, seed=1)
     expected = reference_lift_search(5, template, q_range, budget, seed=1)
     assert report.witnesses and report.serialize() == expected.serialize()
